@@ -105,7 +105,7 @@ func (s *arbSub) Expected(loads []float64) (reference, hysteresis float64) {
 	ps := model.AcquirePredictScratch()
 	defer model.ReleasePredictScratch(ps)
 	for _, j := range s.c.active() {
-		pred, err := model.PredictInto(s.c.g, j.spec.Spec, j.ex.Mapping(), loads, ps)
+		pred, err := model.PredictInto(s.c.g, j.spec.Spec, j.mapping, loads, ps)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: predict job %q: %v", j.spec.Name, err))
 		}
@@ -158,10 +158,8 @@ func (s *arbSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	}
 	objective := math.NaN()
 	changed := false
-	cur := make([]model.Mapping, len(actives))
 	for i, a := range actives {
-		cur[i] = a.ex.Mapping()
-		if !out[i].Mapping.Equal(cur[i]) {
+		if !out[i].Mapping.Equal(a.mapping) {
 			changed = true
 		}
 		w := out[i].Pred.Throughput / a.spec.NormWeight()
@@ -171,6 +169,10 @@ func (s *arbSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	}
 	if !changed {
 		return nil, true
+	}
+	cur := make([]model.Mapping, len(actives))
+	for i, a := range actives {
+		cur[i] = a.mapping
 	}
 	// The plan owns everything it carries across the Propose→Apply gap:
 	// actives and the placement masks alias reused round buffers.
@@ -204,7 +206,7 @@ func (s *arbSub) Apply(p *adaptive.Proposal) adaptive.Actuation {
 			continue // finished between Propose and Apply (same tick: cannot happen, but stay safe)
 		}
 		j.setMask(plan.masks[i])
-		if !plan.mappings[i].Equal(j.ex.Mapping()) {
+		if !plan.mappings[i].Equal(j.mapping) {
 			st, err := j.ex.Remap(plan.mappings[i], s.c.cfg.Protocol)
 			if err != nil {
 				panic(fmt.Sprintf("cluster: job %q remap: %v", j.spec.Name, err))

@@ -25,8 +25,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"gridpipe/internal/adaptive"
@@ -141,7 +143,7 @@ type Job struct {
 	mask     model.CapacityMask
 	mapping  model.Mapping
 	pred     model.Prediction
-	ex       *exec.Executor
+	ex       *exec.Executor // nil once the job is done
 	searcher sched.Searcher
 
 	done, lost       int
@@ -149,6 +151,10 @@ type Job struct {
 	finishT          float64
 	remaps           int
 	initialMapping   string
+	// Report fields folded in at finalize, when the executor is
+	// released.
+	meanLatency  float64
+	finalMapping string
 }
 
 // Name returns the job's label.
@@ -167,16 +173,20 @@ type Cluster struct {
 
 	jobs  []*Job
 	queue []*Job // FIFO admission queue
+	// running indexes the JobRunning jobs in job-ID order; unsettled
+	// counts the jobs not yet done or rejected. Together they keep the
+	// per-event cost of a run off the number of jobs ever submitted.
+	running   []*Job
+	unsettled int
 
 	ctrl         *adaptive.Controller
 	arbitrations int
 	started      bool
 
 	// Incremental-arbitration machinery: the memoizing divider plus the
-	// reused round buffers (active set, tenant list, placements, fits'
-	// pinned scan) that keep steady-state rounds allocation-free.
+	// reused round buffers (tenant list, placements, fits' pinned scan)
+	// that keep steady-state rounds allocation-free.
 	div        *Divider
-	activeBuf  []*Job
 	tenantBuf  []DividerTenant
 	placeBuf   []Placement
 	fitsPinned []bool
@@ -264,13 +274,31 @@ func arrivalFire(arg any) {
 // Run executes every submitted job to completion and returns the
 // report. It may be called once.
 func (c *Cluster) Run() (Report, error) {
+	if err := c.start(); err != nil {
+		return Report{}, err
+	}
+	for c.unsettled > 0 {
+		if !c.eng.Step() {
+			return Report{}, fmt.Errorf("cluster: calendar empty with jobs outstanding (deadlock?)")
+		}
+	}
+	if c.ctrl != nil {
+		c.ctrl.Stop()
+	}
+	return c.report(), nil
+}
+
+// start marks the cluster started and arms the adaptive controller;
+// the caller then steps the engine until no job is unsettled.
+func (c *Cluster) start() error {
 	if c.started {
-		return Report{}, fmt.Errorf("cluster: Run called twice")
+		return fmt.Errorf("cluster: Run called twice")
 	}
 	if len(c.jobs) == 0 {
-		return Report{}, fmt.Errorf("cluster: no jobs submitted")
+		return fmt.Errorf("cluster: no jobs submitted")
 	}
 	c.started = true
+	c.unsettled = len(c.jobs)
 	if c.cfg.Policy != adaptive.PolicyStatic {
 		sub := &arbSub{c: c}
 		core, err := adaptive.New(sub, sub, simClock{eng: c.eng}, adaptive.Config{
@@ -283,45 +311,43 @@ func (c *Cluster) Run() (Report, error) {
 			ThroughputWindow:   c.cfg.ThroughputWindow,
 		})
 		if err != nil {
-			return Report{}, err
+			return err
 		}
 		c.ctrl = core
 		c.ctrl.Start()
 	}
-	for !c.allSettled() {
-		if !c.eng.Step() {
-			return Report{}, fmt.Errorf("cluster: calendar empty with jobs outstanding (deadlock?)")
-		}
-	}
-	if c.ctrl != nil {
-		c.ctrl.Stop()
-	}
-	return c.report(), nil
+	return nil
 }
 
-func (c *Cluster) allSettled() bool {
-	for _, j := range c.jobs {
-		if j.state != JobDone && j.state != JobRejected {
-			return false
-		}
-	}
-	return true
+// active returns the admitted, still-running jobs in job-ID
+// (submission) order, which differs from admission order whenever jobs
+// are submitted out of arrival order. The order matters: the divider
+// searches tenants in it, each against the reservations of those
+// before it, so the index must keep it for arbitration to stay
+// reproducible. The returned slice is the live index, changed by every
+// admit and finalize; callers that hold it across either (the adaptive
+// plan) must copy it.
+func (c *Cluster) active() []*Job { return c.running }
+
+// setRunning moves j into the running index at its job-ID position.
+func (c *Cluster) setRunning(j *Job) {
+	j.state = JobRunning
+	i, _ := slices.BinarySearchFunc(c.running, j.id, byID)
+	c.running = slices.Insert(c.running, i, j)
 }
 
-// active returns the admitted, still-running jobs in admission order.
-// The returned slice is a reused buffer, valid until the next call;
-// callers that hold it across cluster re-entry (the adaptive plan)
-// must copy it.
-func (c *Cluster) active() []*Job {
-	out := c.activeBuf[:0]
-	for _, j := range c.jobs {
-		if j.state == JobRunning {
-			out = append(out, j)
-		}
+// settle records j's terminal transition (done or rejected), dropping
+// it from the running index.
+func (c *Cluster) settle(j *Job, s JobState) {
+	if j.state == JobRunning {
+		i, _ := slices.BinarySearchFunc(c.running, j.id, byID)
+		c.running = slices.Delete(c.running, i, i+1)
 	}
-	c.activeBuf = out
-	return out
+	j.state = s
+	c.unsettled--
 }
+
+func byID(j *Job, id int) int { return cmp.Compare(j.id, id) }
 
 // fits reports whether admitting j keeps every floor satisfiable. It
 // mirrors the arbiter's pool computation exactly: pinned tenants
@@ -389,7 +415,7 @@ func (c *Cluster) onArrival(j *Job) {
 	}
 	switch c.cfg.Admission {
 	case AdmitReject:
-		j.state = JobRejected
+		c.settle(j, JobRejected)
 	default:
 		j.state = JobQueued
 		j.queuedAt = now
@@ -401,7 +427,7 @@ func (c *Cluster) onArrival(j *Job) {
 // grid over the active jobs plus j, every job whose mapping moves is
 // remapped, and j gets its own executor on the shared engine.
 func (c *Cluster) admit(j *Job, now float64) {
-	j.state = JobRunning
+	c.setRunning(j)
 	j.admitT = now
 	c.rearbitrate(now)
 
@@ -448,8 +474,9 @@ func (c *Cluster) finalize(j *Job) {
 		return
 	}
 	now := c.eng.Now()
-	j.state = JobDone
+	c.settle(j, JobDone)
 	j.finishT = now
+	j.release()
 	// Freed capacity goes first to the admission queue (strict FIFO:
 	// the head blocks), then folds into the remaining tenants.
 	admitted := false
@@ -464,8 +491,29 @@ func (c *Cluster) finalize(j *Job) {
 	}
 }
 
+// release folds the report fields that read the executor — the mean
+// item latency and the final mapping — into the job, then drops the
+// executor, so a finished job retains only its report fields.
+func (j *Job) release() {
+	j.meanLatency = mean(j.ex.Latencies())
+	j.finalMapping = j.mapping.String()
+	j.ex = nil
+}
+
+// mean returns the in-order mean of xs, 0 when empty.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
 // rearbitrate re-divides the grid over the active jobs and remaps any
-// job whose searched mapping moved. Mappings are searched in admission
+// job whose searched mapping moved. Mappings are searched in job-ID
 // order, each against the residual capacity of those already placed —
 // through the incremental divider, so jobs whose lease and upstream
 // reservations are unchanged replay their memoized search.
@@ -591,15 +639,8 @@ func (c *Cluster) report() Report {
 			if jr.Makespan > 0 {
 				jr.Throughput = float64(j.done) / jr.Makespan
 			}
-			lats := j.ex.Latencies()
-			if len(lats) > 0 {
-				sum := 0.0
-				for _, l := range lats {
-					sum += l
-				}
-				jr.MeanLatency = sum / float64(len(lats))
-			}
-			jr.FinalMapping = j.ex.Mapping().String()
+			jr.MeanLatency = j.meanLatency
+			jr.FinalMapping = j.finalMapping
 			if j.finishT > rep.Makespan {
 				rep.Makespan = j.finishT
 			}

@@ -226,13 +226,7 @@ func RunPartitioned(g *grid.Grid, jobs []PinnedJob, opt PartitionedOptions) (Rep
 		if jr.Makespan > 0 {
 			jr.Throughput = float64(j.done) / jr.Makespan
 		}
-		if lats := j.ex.Latencies(); len(lats) > 0 {
-			sum := 0.0
-			for _, l := range lats {
-				sum += l
-			}
-			jr.MeanLatency = sum / float64(len(lats))
-		}
+		jr.MeanLatency = mean(j.ex.Latencies())
 		if j.finishT > rep.Makespan {
 			rep.Makespan = j.finishT
 		}

@@ -197,6 +197,9 @@ type Executor struct {
 	// share is the cluster contention ledger (nil for single-job runs;
 	// every multi-tenant branch is guarded on it).
 	share *NodeShares
+	// shareSeq is the executor's attach order on share: the order
+	// rescale visits tenants in.
+	shareSeq int
 
 	rr []int // round-robin counters per stage
 

@@ -72,6 +72,9 @@ func (s *nodeServer) start(t *task) {
 	s.busy++
 	t.svcIdx = int32(len(s.inService))
 	s.inService = append(s.inService, t)
+	if s.e.share != nil && len(s.inService) == 1 {
+		s.e.share.join(s.node.ID, s.e)
+	}
 	t.serviceT0 = now
 	dur := s.node.ServiceDuration(work, now)
 	t.completion = s.e.eng.ScheduleArg(dur, s.finishFn, t)
@@ -85,6 +88,9 @@ func (s *nodeServer) unservice(t *task) {
 	moved.svcIdx = t.svcIdx
 	s.inService[last] = nil
 	s.inService = s.inService[:last]
+	if s.e.share != nil && last == 0 {
+		s.e.share.leave(s.node.ID, s.e)
+	}
 }
 
 func (s *nodeServer) finish(t *task) {

@@ -19,17 +19,25 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"gridpipe/internal/grid"
 )
 
 // NodeShares is the shared contention ledger of one cluster: per node,
-// the number of in-service tasks across every attached executor.
+// the number of in-service tasks across every attached executor, and
+// the live tenants — the executors holding at least one of those
+// tasks, in attach order. A rescale walks only a node's live tenants,
+// so its cost tracks the tenants on the node, not every executor ever
+// attached; and the ledger holds no reference to an executor with
+// nothing in service, so a finished job's executor can be collected.
 type NodeShares struct {
-	g     *grid.Grid
-	execs []*Executor
-	count []int
+	g        *grid.Grid
+	attached int
+	count    []int
+	live     [][]*Executor
 }
 
 // NewNodeShares returns an empty ledger for the grid. Pass it as
@@ -37,18 +45,43 @@ type NodeShares struct {
 // attach themselves at construction, in New order (which fixes the
 // deterministic rescale order).
 func NewNodeShares(g *grid.Grid) *NodeShares {
-	return &NodeShares{g: g, count: make([]int, g.NumNodes())}
+	return &NodeShares{
+		g:     g,
+		count: make([]int, g.NumNodes()),
+		live:  make([][]*Executor, g.NumNodes()),
+	}
 }
 
-// attach registers an executor; called by New when Options.Share is
-// set.
+// attach registers an executor, stamping its attach order; called by
+// New when Options.Share is set.
 func (sh *NodeShares) attach(e *Executor) error {
 	if e.g != sh.g {
 		return fmt.Errorf("exec: NodeShares built for a different grid")
 	}
-	sh.execs = append(sh.execs, e)
+	e.shareSeq = sh.attached
+	sh.attached++
 	return nil
 }
+
+// join adds e to node n's live tenants, keeping attach order; called
+// when e's in-service count on n goes 0→1.
+func (sh *NodeShares) join(n grid.NodeID, e *Executor) {
+	i, _ := slices.BinarySearchFunc(sh.live[n], e.shareSeq, func(x *Executor, seq int) int {
+		return cmp.Compare(x.shareSeq, seq)
+	})
+	sh.live[n] = slices.Insert(sh.live[n], i, e)
+}
+
+// leave removes e from node n's live tenants, keeping the rest in
+// order; called when e's in-service count on n goes 1→0.
+func (sh *NodeShares) leave(n grid.NodeID, e *Executor) {
+	i := slices.Index(sh.live[n], e)
+	sh.live[n] = slices.Delete(sh.live[n], i, i+1)
+}
+
+// LiveTenants returns how many executors have in-service tasks on
+// node n.
+func (sh *NodeShares) LiveTenants(n grid.NodeID) int { return len(sh.live[n]) }
 
 // InService returns the cluster-wide in-service task count on node n.
 func (sh *NodeShares) InService(n grid.NodeID) int { return sh.count[n] }
@@ -87,13 +120,13 @@ func (sh *NodeShares) endService(n grid.NodeID, now float64) {
 }
 
 // rescale re-banks and reschedules every in-service task on node n
-// under the node's current share. Iteration order — executors in
+// under the node's current share. Iteration order — live tenants in
 // attach order, tasks in in-service slice order — is deterministic,
 // so the rescheduled event sequence is reproducible.
 func (sh *NodeShares) rescale(n grid.NodeID, now float64) {
 	node := sh.g.Node(n)
 	mult := sh.Mult(n)
-	for _, e := range sh.execs {
+	for _, e := range sh.live[n] {
 		ns := e.nodes[n]
 		for _, t := range ns.inService {
 			if t.mult == mult {

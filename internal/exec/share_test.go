@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -118,5 +119,98 @@ func TestShareRescaleBanksProgress(t *testing.T) {
 	}
 	if got := eng.Now(); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("run ended at t=%v, want 2.0", got)
+	}
+}
+
+// TestLiveTenantsTrackInService pins the ledger's live-tenant lists:
+// after every event, node n's list holds exactly the executors with a
+// task in service on n, in attach order. rescale walks only that list,
+// and a tenant joins it on its first in-service task and leaves on its
+// last, so a rescale never visits an executor with nothing in service
+// on the node. Tenants overlap on multi-core nodes, start out of
+// attach order, and one is remapped kill-restart mid-run; at the end
+// every list is empty.
+func TestLiveTenantsTrackInService(t *testing.T) {
+	var nodes []*grid.Node
+	for i, cores := range []int{2, 1, 2, 3} {
+		nodes = append(nodes, &grid.Node{Name: fmt.Sprintf("n%d", i), Speed: 1 + 0.25*float64(i), Cores: cores})
+	}
+	g, err := grid.NewGrid(grid.LANLink, nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &sim.Engine{}
+	sh := NewNodeShares(g)
+	spec := model.Balanced(3, 0.4, 1e4)
+	maps := []model.Mapping{
+		{Assign: [][]grid.NodeID{{0}, {1, 2}, {3}}},
+		{Assign: [][]grid.NodeID{{3}, {0}, {2}}},
+		{Assign: [][]grid.NodeID{{2, 3}, {0, 1}, {0}}},
+		{Assign: [][]grid.NodeID{{1}, {3}, {2, 0}}},
+	}
+	var execs []*Executor
+	for i, m := range maps {
+		ex, err := New(eng, g, spec, m, Options{
+			MaxInFlight: 6,
+			TotalItems:  40,
+			Share:       sh,
+			WorkSampler: func(stage, seq int) float64 { return 0.2 + 0.05*float64((stage*7+seq*3+i)%5) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs = append(execs, ex)
+	}
+	for k, i := range []int{2, 0, 3, 1} {
+		eng.Schedule(0.3*float64(k), execs[i].Start)
+	}
+	eng.Schedule(3, func() {
+		if _, err := execs[1].Remap(maps[3], KillRestart); err != nil {
+			t.Errorf("remap: %v", err)
+		}
+	})
+	check := func() {
+		for n := 0; n < g.NumNodes(); n++ {
+			var want []*Executor
+			total := 0
+			for _, e := range execs {
+				if k := len(e.nodes[n].inService); k > 0 {
+					want = append(want, e)
+					total += k
+				}
+			}
+			got := sh.live[n]
+			if len(got) != len(want) {
+				t.Fatalf("t=%v node %d: %d live tenants, %d executors in service", eng.Now(), n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("t=%v node %d: live tenant %d is attach #%d, want #%d", eng.Now(), n, i, got[i].shareSeq, want[i].shareSeq)
+				}
+			}
+			if sh.count[n] != total {
+				t.Fatalf("t=%v node %d: ledger counts %d in service, executors hold %d", eng.Now(), n, sh.count[n], total)
+			}
+		}
+	}
+	maxLive := 0
+	for eng.Step() {
+		check()
+		for n := 0; n < g.NumNodes(); n++ {
+			maxLive = max(maxLive, sh.LiveTenants(grid.NodeID(n)))
+		}
+	}
+	for i, e := range execs {
+		if e.Done() != 40 {
+			t.Fatalf("executor %d done %d, want 40", i, e.Done())
+		}
+	}
+	if maxLive < 3 {
+		t.Fatalf("fixture lost its coverage: at most %d tenants ever shared a node", maxLive)
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		if k := sh.LiveTenants(grid.NodeID(n)); k != 0 {
+			t.Fatalf("node %d lists %d live tenants after the run", n, k)
+		}
 	}
 }

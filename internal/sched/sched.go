@@ -510,6 +510,8 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 	ps := model.AcquirePredictScratch()
 	defer model.ReleasePredictScratch(ps)
 	var keepCur, keepCand []float64
+	var trialAssign [][]grid.NodeID
+	var reps []grid.NodeID
 	cur := m.Clone()
 	pred, err := model.PredictInto(g, spec, cur, loads, ps)
 	if err != nil {
@@ -538,7 +540,14 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 			return cur, detachPred(pred), nil
 		}
 		// Try adding each node not already hosting the stage; keep the
-		// best improvement.
+		// best improvement. Every trial is cur with one replica added to
+		// stage si: it shares cur's other stages through one reused
+		// header, and only the accepted candidate is cloned.
+		trialAssign = append(trialAssign[:0], cur.Assign...)
+		trial := model.Mapping{Assign: trialAssign}
+		reps = append(reps[:0], cur.Assign[si]...)
+		reps = append(reps, 0)
+		trialAssign[si] = reps
 		bestP := pred
 		bestN := grid.NodeID(-1)
 		for n := 0; n < g.NumNodes(); n++ {
@@ -546,7 +555,7 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 			if onNode(cur.Assign[si], id) || !usable(avail, n) {
 				continue
 			}
-			trial := cur.WithReplicas(si, append(append([]grid.NodeID{}, cur.Assign[si]...), id)...)
+			reps[len(reps)-1] = id
 			p, err := model.PredictInto(g, spec, trial, loads, ps)
 			if err != nil {
 				return model.Mapping{}, model.Prediction{}, err
