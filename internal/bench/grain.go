@@ -34,7 +34,7 @@ type GrainPoint struct {
 // GrainSweepConfig tunes GrainSweep. Zero values pick the defaults.
 type GrainSweepConfig struct {
 	// Grains is the batch-size ladder (default 1,2,4,...,256; 1 runs
-	// the unbatched wiring and anchors the comparison).
+	// a pipeline without EnableBatch and anchors the comparison).
 	Grains []int
 	// Items per throughput measurement (default 200_000).
 	Items int

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -122,6 +123,29 @@ func TestErrorPropagation(t *testing.T) {
 		_, err = f.Process(context.Background(), ints(50))
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("unordered=%v: err = %v", unordered, err)
+		}
+	}
+}
+
+// A panicking task fails the run with an error carrying the panic
+// value, in both modes and at both dispatch grains, instead of
+// crashing the process from a worker of the shared executor.
+func TestPanicBecomesError(t *testing.T) {
+	for _, unordered := range []bool{false, true} {
+		for _, batch := range []int{1, 8} {
+			f, err := New(func(ctx context.Context, v any) (any, error) {
+				if v.(int) == 7 {
+					panic("boom")
+				}
+				return v, nil
+			}, Options{Workers: 3, Unordered: unordered, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Process(context.Background(), ints(50))
+			if err == nil || !strings.Contains(err.Error(), "panic") || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("unordered=%v batch=%d: err = %v", unordered, batch, err)
+			}
 		}
 	}
 }

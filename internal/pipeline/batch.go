@@ -2,14 +2,13 @@
 // live runtime (the paper's central knob, applied to goroutines and
 // channels instead of grid transfers).
 //
-// With batching enabled (EnableBatch), the unit that crosses every
-// stage boundary is a *batch — a pooled slab of consecutively-
-// sequenced items — instead of one seqItem per item. Every boundary
-// cost that the per-item path pays per item (channel send/receive,
-// limiter acquire/release, reorder-ring bookkeeping, worker wake-up)
-// is then paid once per batch and amortised over its items, which is
-// exactly the fixed-overhead amortisation argument the cost model's
-// BatchOverhead term captures (internal/model).
+// The unit that crosses every stage boundary is a *batch — a pooled
+// slab of consecutively-sequenced items. Every boundary cost (channel
+// send/receive, limiter acquire/release, reorder-ring bookkeeping,
+// task handoff) is paid once per batch and amortised over its items,
+// which is exactly the fixed-overhead amortisation argument the cost
+// model's BatchOverhead term captures (internal/model). A pipeline
+// without EnableBatch runs at grain 1: one item per batch.
 //
 // Invariants:
 //
@@ -23,27 +22,30 @@
 //     second actuator dimension) or when the oldest item in it has
 //     lingered for the linger timeout, so a trickle input keeps
 //     bounded latency: downstream boundaries never hold a batch, which
-//     makes the head's linger the only batching wait anywhere;
-//   - slabs are reference-counted (a broadcast shares one batch among
-//     all out-edges) and recycled through a sync.Pool, so the steady-
-//     state boundary performs no per-item and no per-batch heap
-//     allocation;
-//   - ordered output is byte-identical to the per-item path: stages
+//     makes the head's linger the only batching wait anywhere. At
+//     grain 1 every item is a full batch, flushed on arrival, so the
+//     linger timer is never even created;
+//   - slabs are reference-counted (a fan-out shares one batch among
+//     all out-edges) and recycled through one process-wide sync.Pool,
+//     so the steady-state boundary performs no per-item and no
+//     per-batch heap allocation, and a fresh pipeline starts on slabs
+//     that earlier pipelines released;
+//   - ordered output does not depend on grain or linger: stages
 //     process a batch's items in sequence order and batches are
 //     restored to index order at every boundary, so Run/Process emit
-//     the same values in the same order for every grain and linger.
+//     the same values in the same order as evaluating the stage graph
+//     item by item, for every grain and linger.
 package pipeline
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"gridpipe/internal/conc"
 	"gridpipe/internal/conc/steal"
-	"gridpipe/internal/ring"
 )
 
 // DefaultLinger bounds how long a partial batch may wait at the head
@@ -68,10 +70,13 @@ type batch struct {
 	eager bool
 }
 
+// slabs recycles *batch slabs across every pipeline in the process.
+var slabs sync.Pool
+
 // newBatch takes a slab from the pool (or allocates the first time a
 // fresh high-water mark is reached) and resets it for one consumer.
-func (p *Pipeline) newBatch(idx, seq int) *batch {
-	b, _ := p.slabs.Get().(*batch)
+func newBatch(idx, seq int) *batch {
+	b, _ := slabs.Get().(*batch)
 	if b == nil {
 		b = &batch{}
 	}
@@ -85,20 +90,19 @@ func (p *Pipeline) newBatch(idx, seq int) *batch {
 // releaseBatch drops one reference and recycles the slab when the last
 // consumer is done. Items are zeroed so the pool does not retain user
 // values.
-func (p *Pipeline) releaseBatch(b *batch) {
+func releaseBatch(b *batch) {
 	if atomic.AddInt32(&b.refs, -1) != 0 {
 		return
 	}
 	clear(b.items)
 	b.items = b.items[:0]
-	p.slabs.Put(b)
+	slabs.Put(b)
 }
 
-// EnableBatch arms batched stage boundaries before Run: items cross
-// boundaries in slabs of up to grain items, flushed early when the
-// oldest item has waited linger (linger <= 0 picks DefaultLinger).
-// The grain is adjustable while running via SetGrain; the wiring
-// choice (batched vs per-item) is fixed at Run.
+// EnableBatch sets the pipeline's grain before Run and arms SetGrain:
+// items cross boundaries in slabs of up to grain items, flushed early
+// when the oldest item has waited linger (linger <= 0 picks
+// DefaultLinger). The grain stays adjustable while running.
 func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 	if grain < 1 {
 		return fmt.Errorf("pipeline: EnableBatch grain %d below 1", grain)
@@ -120,8 +124,9 @@ func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 // SetGrain adjusts the batch size items travel in (minimum 1). Safe to
 // call while the pipeline runs — the head applies it to the next batch
 // it opens — which makes grain a live actuator dimension alongside
-// SetReplicas. It requires EnableBatch: the per-item wiring has no
-// batch boundary to resize.
+// SetReplicas. It requires EnableBatch: without it the pipeline keeps
+// grain 1, and the error tells callers (liveadapt) that its grain is
+// not an actuator.
 func (p *Pipeline) SetGrain(n int) error {
 	if n < 1 {
 		return fmt.Errorf("pipeline: SetGrain(%d) below 1", n)
@@ -140,193 +145,86 @@ func (p *Pipeline) SetGrain(n int) error {
 	return nil
 }
 
-// Grain returns the current batch size (1 when batching is off).
-func (p *Pipeline) Grain() int {
-	if !p.batchOn {
-		return 1
-	}
-	return int(p.grain.Load())
-}
+// Grain returns the current head batch size (1 without EnableBatch).
+func (p *Pipeline) Grain() int { return int(p.grain.Load()) }
 
-// Batched reports whether Run will use batched stage boundaries.
-func (p *Pipeline) Batched() bool { return p.batchOn }
-
-// runBatched is Run's batched wiring: the same stage graph, with every
-// edge carrying *batch instead of seqItem.
-func (p *Pipeline) runBatched(ctx context.Context, inputs <-chan any) (<-chan any, <-chan error) {
-	ctx, cancel := context.WithCancel(ctx)
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	// Head batcher: sequence-tag the inputs and pack them into slabs,
-	// flushed on grain or linger. This is the only place batches are
-	// formed, so it is the only boundary where an item ever waits.
-	head := make(chan *batch, p.stages[0].Buffer)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(head)
-		seq, idx := 0, 0
-		var cur *batch
-		timer := time.NewTimer(time.Hour)
-		timer.Stop()
-		defer timer.Stop()
-		var timerC <-chan time.Time
-		flush := func(eager bool) bool {
-			cur.eager = eager
-			select {
-			case head <- cur:
-			case <-ctx.Done():
-				return false
-			}
-			cur = nil
-			timerC = nil
-			idx++
-			return true
+// packHead is the head batcher: it sequence-tags the inputs and packs
+// them into slabs, flushed on grain or linger. This is the only place
+// batches are formed, so it is the only boundary where an item ever
+// waits.
+func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- *batch, wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer close(head)
+	seq, idx := 0, 0
+	var cur *batch
+	// The linger timer is created on the first partial batch, so a
+	// grain-1 pipeline never arms or allocates it.
+	var timer *time.Timer
+	var timerC <-chan time.Time
+	defer func() {
+		if timer != nil {
+			timer.Stop()
 		}
-		for {
-			select {
-			case v, ok := <-inputs:
-				if !ok {
-					if cur != nil {
-						flush(true)
-					}
-					return
+	}()
+	flush := func(eager bool) bool {
+		cur.eager = eager
+		select {
+		case head <- cur:
+		case <-ctx.Done():
+			return false
+		}
+		cur = nil
+		timerC = nil
+		idx++
+		return true
+	}
+	for {
+		select {
+		case v, ok := <-inputs:
+			if !ok {
+				if cur != nil {
+					flush(true)
 				}
-				if cur == nil {
-					cur = p.newBatch(idx, seq)
-					timer.Reset(time.Duration(p.linger.Load()))
-					timerC = timer.C
-				}
-				cur.items = append(cur.items, v)
-				seq++
-				if len(cur.items) >= int(p.headGrain()) {
-					timer.Stop()
-					// A grain-full flush with nothing else queued may be
-					// the last traffic for a while; marking it eager lets
-					// coarsening downstream boundaries drain instead of
-					// parking its items until the next input burst.
-					if !flush(len(inputs) == 0) {
-						return
-					}
-				}
-			case <-timerC:
-				if !flush(true) {
-					return
-				}
-			case <-ctx.Done():
 				return
 			}
-		}
-	}()
-
-	// Wire one *batch channel per graph edge — the same topology as the
-	// per-item path, with zip and broadcast operating batch-wise.
-	n := len(p.stages)
-	inEdges := make([][]int, n)
-	outEdges := make([][]int, n)
-	for ei, e := range p.edges {
-		outEdges[e.From] = append(outEdges[e.From], ei)
-		inEdges[e.To] = append(inEdges[e.To], ei)
-	}
-	chans := make([]chan *batch, len(p.edges))
-	for ei, e := range p.edges {
-		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
-	}
-	final := make(chan *batch, p.stages[n-1].Buffer)
-
-	for i := range p.stages {
-		var in <-chan *batch
-		switch {
-		case len(inEdges[i]) == 0: // entry
-			in = head
-		case len(inEdges[i]) == 1:
-			in = chans[inEdges[i][0]]
-		default: // merge: zip the batch streams
-			ins := make([]<-chan *batch, len(inEdges[i]))
-			for k, ei := range inEdges[i] {
-				ins[k] = chans[ei]
+			if cur == nil {
+				cur = newBatch(idx, seq)
 			}
-			joined := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.zipJoinBatched(ctx, ins, joined, &wg, fail)
-			in = joined
-		}
-		var out chan *batch
-		switch {
-		case len(outEdges[i]) == 0: // exit
-			out = final
-		case len(outEdges[i]) == 1:
-			out = chans[outEdges[i][0]]
-		default: // split: share the batch across every out-edge
-			outs := make([]chan<- *batch, len(outEdges[i]))
-			for k, ei := range outEdges[i] {
-				outs[k] = chans[ei]
-			}
-			spread := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.broadcastBatched(ctx, spread, outs, &wg)
-			out = spread
-		}
-		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
-		// the producing stage's sink; bridge edges always leave a
-		// single-out stage, so a split never re-slabs (its consumers
-		// share one slab and must agree on its shape).
-		var edgeGrain *atomic.Int64
-		if len(outEdges[i]) == 1 {
-			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
-				edgeGrain = &p.edgeGrains[1+ei]
-			}
-		}
-		wg.Add(1)
-		go p.runStageBatched(ctx, i, in, out, edgeGrain, &wg, fail)
-	}
-
-	results := make(chan any)
-	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() { // unpack batches and deliver items in order
-		defer wg.Done()
-		for b := range final {
-			for _, v := range b.items {
-				select {
-				case results <- v:
-				case <-ctx.Done():
-					p.releaseBatch(b)
+			cur.items = append(cur.items, v)
+			seq++
+			if len(cur.items) >= int(p.headGrain()) {
+				if timerC != nil {
+					timer.Stop()
+				}
+				// A grain-full flush with nothing else queued may be
+				// the last traffic for a while; marking it eager lets
+				// coarsening downstream boundaries drain instead of
+				// parking its items until the next input burst.
+				if !flush(len(inputs) == 0) {
 					return
 				}
+			} else if timerC == nil {
+				// The linger clock anchors to the slab's oldest item.
+				d := time.Duration(p.linger.Load())
+				if timer == nil {
+					timer = time.NewTimer(d)
+				} else {
+					timer.Reset(d)
+				}
+				timerC = timer.C
 			}
-			p.releaseBatch(b)
+		case <-timerC:
+			if !flush(true) {
+				return
+			}
+		case <-ctx.Done():
+			return
 		}
-	}()
-	go func() {
-		wg.Wait()
-		if firstErr == nil && ctx.Err() != nil {
-			firstErr = ctx.Err()
-		}
-		if firstErr != nil {
-			errs <- firstErr
-		}
-		close(errs)
-		close(results)
-		cancel()
-	}()
-	return results, errs
+	}
 }
 
-// batchSink restores batch-index order at a replicated stage's output.
-// The worker that completes a batch drains everything now emittable,
-// so no separate reorder goroutine (and no done-channel hop) sits on
-// the boundary; see itemSink for the same shape per item.
+// batchSink owns a stage's out-edge: the stage's drainer hands it each
+// batch in index order (under mu), and it sends the batch downstream.
 //
 // When the stage's out-edge is a regraining boundary (EnableBatchEdges
 // on a bridge edge), the sink additionally re-slabs the ordered stream
@@ -339,31 +237,16 @@ func (p *Pipeline) runBatched(ctx context.Context, inputs <-chan any) (<-chan an
 type batchSink struct {
 	ctx     context.Context
 	out     chan<- *batch
-	p       *Pipeline
 	grain   *atomic.Int64 // non-nil: re-slab to this edge grain
 	mu      sync.Mutex
-	pending ring.Reorder[*batch]
 	acc     *batch // regrain accumulator (guarded by mu)
 	nextIdx int    // next re-slabbed batch index on this edge
 	nextSeq int    // first sequence number of the next re-slabbed batch
-	dead    bool   // see itemSink.dead: truncate, never puncture
-}
-
-func (s *batchSink) put(b *batch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending.Put(b.idx, b)
-	for {
-		_, nb, ok := s.pending.PopNext()
-		if !ok {
-			return
-		}
-		if s.dead {
-			s.p.releaseBatch(nb)
-			continue
-		}
-		s.emit(nb)
-	}
+	// dead latches after the first in-order send lost to cancellation:
+	// a select with both the send and ctx.Done ready picks randomly, so
+	// without the latch a sink could drop batch N yet deliver N+1 —
+	// cancellation must truncate the ordered stream, never puncture it.
+	dead bool
 }
 
 // emit hands one in-order batch downstream — directly, or through the
@@ -384,7 +267,7 @@ func (s *batchSink) deliver(nb *batch) bool {
 		case s.out <- nb:
 			return true
 		case <-s.ctx.Done():
-			s.p.releaseBatch(nb)
+			releaseBatch(nb)
 			return false
 		}
 	}
@@ -402,17 +285,17 @@ func (s *batchSink) regrain(nb *batch) bool {
 	eager := nb.eager
 	for _, v := range nb.items {
 		if s.acc == nil {
-			s.acc = s.p.newBatch(s.nextIdx, s.nextSeq)
+			s.acc = newBatch(s.nextIdx, s.nextSeq)
 		}
 		s.acc.items = append(s.acc.items, v)
 		if len(s.acc.items) >= tgt {
 			if !s.flushAcc(eager) {
-				s.p.releaseBatch(nb)
+				releaseBatch(nb)
 				return false
 			}
 		}
 	}
-	s.p.releaseBatch(nb)
+	releaseBatch(nb)
 	if eager && s.acc != nil {
 		return s.flushAcc(true)
 	}
@@ -430,7 +313,7 @@ func (s *batchSink) flushAcc(eager bool) bool {
 	case s.out <- b:
 		return true
 	case <-s.ctx.Done():
-		s.p.releaseBatch(b)
+		releaseBatch(b)
 		return false
 	}
 }
@@ -445,7 +328,7 @@ func (s *batchSink) flushTail() {
 		return
 	}
 	if s.dead {
-		s.p.releaseBatch(s.acc)
+		releaseBatch(s.acc)
 		s.acc = nil
 		return
 	}
@@ -454,119 +337,75 @@ func (s *batchSink) flushTail() {
 	}
 }
 
-// runStageBatched dispatches whole batches — as tasks on the shared
-// work-stealing executor, or (executor-off) to a dedicated persistent
-// worker pool: one limiter acquire, one handoff, and one reorder
-// operation per batch, with the stage function applied to each item in
-// sequence order so ordered output is identical to the per-item path.
+// serveStage runs stage i: it dispatches each input batch as one task
+// on the shared work-stealing executor — one limiter acquire, one
+// handoff, and one reorder operation per batch — and the task applies
+// the stage function to the batch's items in sequence order.
 // edgeGrain, when non-nil, makes the sink re-slab the stage's out-edge
 // to that grain (see batchSink).
-func (p *Pipeline) runStageBatched(ctx context.Context, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
+//
+// Executor tasks never block: with a shared worker set a task stuck in
+// a channel send can occupy the worker that would have run the
+// downstream task draining that very channel (on a 1-worker set this
+// deadlocks outright). So a processed batch lands in a taskSink ring,
+// and this stage's drainer goroutine, which may block freely, owns the
+// ordered (and possibly re-slabbing) sends plus the limiter release.
+// Releasing only on downstream accept keeps end-to-end backpressure:
+// at most Replicas batches sit computed-but-undelivered per stage.
+func (p *Pipeline) serveStage(ctx context.Context, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	lim := p.limits[i]
 	met := p.meters[i]
 	fn := p.stages[i].Fn
 	name := p.stages[i].Name
+	ex := p.executor()
 
-	sink := batchSink{ctx: ctx, out: out, p: p, grain: edgeGrain}
-	process := func(b *batch) {
-		ob := p.newBatch(b.idx, b.seq)
-		ob.eager = b.eager
-		t0 := time.Now()
-		for k, v := range b.items {
-			r, err := fn(ctx, v)
-			if err != nil {
-				fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, b.seq+k, err))
-				p.releaseBatch(ob)
-				p.releaseBatch(b)
+	sink := batchSink{ctx: ctx, out: out, grain: edgeGrain}
+	var inFlight sync.WaitGroup
+	tsink := &taskSink{notify: make(chan struct{}, 1)}
+	wg.Add(1)
+	go func() { // drainer
+		defer wg.Done()
+		for {
+			ob, ok := tsink.next()
+			if !ok {
 				return
 			}
-			ob.items = append(ob.items, r)
+			if ob != nil { // nil = failed-task tombstone
+				sink.mu.Lock()
+				if sink.dead {
+					releaseBatch(ob)
+				} else {
+					sink.emit(ob)
+				}
+				sink.mu.Unlock()
+			}
+			lim.Release()
+			inFlight.Done()
+		}
+	}()
+	// The pooled slab itself is the task argument, so submission boxes
+	// nothing.
+	taskFn := func(arg any) {
+		b := arg.(*batch)
+		idx := b.idx
+		ob := newBatch(idx, b.seq)
+		ob.eager = b.eager
+		t0 := time.Now()
+		err := applyStage(ctx, fn, name, b, ob)
+		releaseBatch(b)
+		if err != nil {
+			fail(err)
+			releaseBatch(ob)
+			// A tombstone keeps the sequence gap-free so the drainer
+			// can keep releasing in-flight tokens while the
+			// cancellation unwinds.
+			tsink.put(idx, nil)
+			return
 		}
 		met.RecordN(int64(len(ob.items)), time.Since(t0))
-		p.releaseBatch(b)
-		sink.put(ob)
+		tsink.put(idx, ob)
 	}
-
-	if ex := p.executor(); ex != nil {
-		// Shared-executor mode: the pooled slab itself is the task
-		// argument, so submission boxes nothing. As in runStage,
-		// executor tasks never block — a processed batch lands in a
-		// taskSink ring and this stage's drainer goroutine owns the
-		// ordered (and possibly re-slabbing) sends plus the limiter
-		// release, so a full downstream boundary backpressures the
-		// dispatcher without ever parking a shared worker.
-		var inFlight sync.WaitGroup
-		tsink := &taskSink{notify: make(chan struct{}, 1)}
-		wg.Add(1)
-		go func() { // drainer
-			defer wg.Done()
-			for {
-				_, v, ok := tsink.next()
-				if !ok {
-					return
-				}
-				if ob, _ := v.(*batch); ob != nil { // nil = failed-task tombstone
-					sink.mu.Lock()
-					if sink.dead {
-						p.releaseBatch(ob)
-					} else {
-						sink.emit(ob)
-					}
-					sink.mu.Unlock()
-				}
-				lim.Release()
-				inFlight.Done()
-			}
-		}()
-		taskFn := func(arg any) {
-			b := arg.(*batch)
-			idx := b.idx
-			ob := p.newBatch(b.idx, b.seq)
-			ob.eager = b.eager
-			t0 := time.Now()
-			for k, v := range b.items {
-				r, err := fn(ctx, v)
-				if err != nil {
-					fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, b.seq+k, err))
-					p.releaseBatch(ob)
-					p.releaseBatch(b)
-					tsink.put(idx, (*batch)(nil))
-					return
-				}
-				ob.items = append(ob.items, r)
-			}
-			met.RecordN(int64(len(ob.items)), time.Since(t0))
-			p.releaseBatch(b)
-			tsink.put(idx, ob)
-		}
-		for {
-			var b *batch
-			var ok bool
-			select {
-			case b, ok = <-in:
-			case <-ctx.Done():
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			lim.Acquire()
-			inFlight.Add(1)
-			ex.Submit(steal.Task{Fn: taskFn, Arg: b})
-		}
-		inFlight.Wait()
-		tsink.close()
-		sink.flushTail()
-		close(out)
-		return
-	}
-
-	poolCap := 2 * p.stages[i].Replicas
-	if poolCap < 8 {
-		poolCap = 8
-	}
-	pool := conc.NewPool(lim, poolCap, process)
 	for {
 		var b *batch
 		var ok bool
@@ -578,19 +417,42 @@ func (p *Pipeline) runStageBatched(ctx context.Context, i int, in <-chan *batch,
 		if !ok {
 			break
 		}
-		pool.Submit(b)
+		lim.Acquire()
+		inFlight.Add(1)
+		ex.Submit(steal.Task{Fn: taskFn, Arg: b})
 	}
-	pool.Close()
+	inFlight.Wait()
+	tsink.close()
 	sink.flushTail()
 	close(out)
 }
 
-// zipJoinBatched merges the in-streams of a fan-in stage batch-wise.
+// applyStage appends fn's result for each item of b to ob, in sequence
+// order. A panic in fn is recovered into an error carrying the stack,
+// so a bad item fails its run instead of unwinding a worker of the
+// process-wide executor that other pipelines share.
+func applyStage(ctx context.Context, fn Func, name string, b, ob *batch) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pipeline: stage %s item %d: panic: %v\n%s", name, b.seq+len(ob.items), r, debug.Stack())
+		}
+	}()
+	for k, v := range b.items {
+		res, ferr := fn(ctx, v)
+		if ferr != nil {
+			return fmt.Errorf("pipeline: stage %s item %d: %w", name, b.seq+k, ferr)
+		}
+		ob.items = append(ob.items, res)
+	}
+	return nil
+}
+
+// fanIn merges the in-streams of a fan-in stage batch-wise.
 // Batches are formed once at the head and preserved 1-for-1 by every
 // stage, so the k-th batch of every in-stream has the same index,
 // first sequence number, and length; the join reads one batch per
 // stream in lockstep and emits a batch of []any part vectors.
-func (p *Pipeline) zipJoinBatched(ctx context.Context, ins []<-chan *batch, out chan<- *batch, wg *sync.WaitGroup, fail func(error)) {
+func fanIn(ctx context.Context, ins []<-chan *batch, out chan<- *batch, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	defer close(out)
 	for {
@@ -602,12 +464,12 @@ func (p *Pipeline) zipJoinBatched(ctx context.Context, ins []<-chan *batch, out 
 					// Streams carry identical batch sequences; the first
 					// to close ends the join.
 					if ob != nil {
-						p.releaseBatch(ob)
+						releaseBatch(ob)
 					}
 					return
 				}
 				if ob == nil {
-					ob = p.newBatch(b.idx, b.seq)
+					ob = newBatch(b.idx, b.seq)
 					ob.eager = b.eager
 					for range b.items {
 						ob.items = append(ob.items, make([]any, len(ins)))
@@ -615,17 +477,17 @@ func (p *Pipeline) zipJoinBatched(ctx context.Context, ins []<-chan *batch, out 
 				} else if b.idx != ob.idx || len(b.items) != len(ob.items) {
 					fail(fmt.Errorf("pipeline: fan-in batch skew (batch %d vs %d, %d vs %d items)",
 						b.idx, ob.idx, len(b.items), len(ob.items)))
-					p.releaseBatch(b)
-					p.releaseBatch(ob)
+					releaseBatch(b)
+					releaseBatch(ob)
 					return
 				}
 				for j, v := range b.items {
 					ob.items[j].([]any)[k] = v
 				}
-				p.releaseBatch(b)
+				releaseBatch(b)
 			case <-ctx.Done():
 				if ob != nil {
-					p.releaseBatch(ob)
+					releaseBatch(ob)
 				}
 				return
 			}
@@ -633,17 +495,17 @@ func (p *Pipeline) zipJoinBatched(ctx context.Context, ins []<-chan *batch, out 
 		select {
 		case out <- ob:
 		case <-ctx.Done():
-			p.releaseBatch(ob)
+			releaseBatch(ob)
 			return
 		}
 	}
 }
 
-// broadcastBatched fans a split stage's batch stream onto every
+// fanOut fans a split stage's batch stream onto every
 // out-edge. The slab is shared, not copied: the reference count grows
 // by one per extra consumer and each downstream stage releases its
 // reference after reading (no consumer mutates a batch it received).
-func (p *Pipeline) broadcastBatched(ctx context.Context, in <-chan *batch, outs []chan<- *batch, wg *sync.WaitGroup) {
+func fanOut(ctx context.Context, in <-chan *batch, outs []chan<- *batch, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
 		for _, ch := range outs {

@@ -1,8 +1,9 @@
 package pipeline
 
 // The batching equivalence property: for any stage graph, any grain,
-// and any cancellation point, the batched wiring delivers exactly the
-// per-item wiring's ordered output — batching may only change *when*
+// and any cancellation point, the pipeline delivers exactly (or, when
+// cancelled, an ordered prefix of) the output of evaluating the graph
+// item by item in sequential code — batching may only change *when*
 // items cross boundaries, never *what* comes out or in which order.
 // Random topologies (chains with random extra split/merge edges),
 // random replica counts and buffers, a grain ladder spanning
@@ -80,7 +81,7 @@ func randTopology(r *rand.Rand) ([]Stage, []topo.Edge) {
 }
 
 // propExpected evaluates the graph per item in plain sequential code:
-// the ordered-output oracle both wirings must match. Merge parts are
+// the ordered-output oracle every grain and executor must match. Merge parts are
 // assembled in edge-list order, the order the runtime wires them.
 func propExpected(stages []Stage, edges []topo.Edge, input int) int {
 	n := len(stages)
@@ -171,7 +172,7 @@ func TestBatchedMatchesUnbatchedProperty(t *testing.T) {
 }
 
 // TestBatchedCancelPrefixProperty cancels mid-stream at random points:
-// whatever both wirings manage to deliver before the cancel must still
+// whatever every grain manages to deliver before the cancel must still
 // be a correct ordered prefix — cancellation may truncate the stream
 // but never corrupt or reorder it.
 func TestBatchedCancelPrefixProperty(t *testing.T) {

@@ -1,12 +1,11 @@
 package pipeline
 
-// The executor equivalence property: for any stage graph, any grain,
-// and either wiring of the stage workers — dedicated per-stage pools
-// (DisableExecutor, the pre-executor oracle) or the shared
-// work-stealing executor — the pipeline delivers exactly the same
-// ordered output. The executor may only change *where* stage work
-// runs, never *what* comes out or in which order. Runs under -race in
-// its own named CI step.
+// The executor equivalence property: for any stage graph and any
+// grain, stage tasks on the shared work-stealing executor deliver
+// exactly the ordered output of evaluating the graph item by item in
+// plain sequential code (propExpected). The executor may only change
+// *where* stage work runs, never *what* comes out or in which order.
+// Runs under -race in its own named CI step.
 
 import (
 	"context"
@@ -18,7 +17,7 @@ import (
 	"gridpipe/internal/conc/steal"
 )
 
-func TestExecutorMatchesDedicatedProperty(t *testing.T) {
+func TestExecutorMatchesSequentialProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	const items = 300
 	inputs := make([]any, items)
@@ -28,17 +27,14 @@ func TestExecutorMatchesDedicatedProperty(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		stages, edges := randTopology(r)
 		grain := []int{1, 1, 3, 16}[r.Intn(4)]
-
-		oracle := propBuild(t, stages, edges, grain)
-		oracle.DisableExecutor()
-		want, err := oracle.Process(context.Background(), inputs)
-		if err != nil {
-			t.Fatalf("trial %d oracle: %v", trial, err)
+		want := make([]int, items)
+		for i := range want {
+			want[i] = propExpected(stages, edges, i)
 		}
 
-		// Two executor wirings: the process-wide default and a
-		// dedicated small worker set (steals and global grabs are far
-		// more likely when workers are scarce relative to stages).
+		// Two executor arms: the process-wide default and a dedicated
+		// small worker set (steals and global grabs are far more
+		// likely when workers are scarce relative to stages).
 		for _, dedicated := range []bool{false, true} {
 			p := propBuild(t, stages, edges, grain)
 			var ex *steal.Executor
@@ -54,12 +50,12 @@ func TestExecutorMatchesDedicatedProperty(t *testing.T) {
 				t.Fatalf("trial %d executor (dedicated=%v): %v", trial, dedicated, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d (dedicated=%v): %d outputs, oracle delivered %d (edges %v)",
+				t.Fatalf("trial %d (dedicated=%v): %d outputs, want %d (edges %v)",
 					trial, dedicated, len(got), len(want), edges)
 			}
 			for i := range got {
-				if got[i].(int) != want[i].(int) {
-					t.Fatalf("trial %d (dedicated=%v) output %d: got %v, oracle %v (grain %d, edges %v)",
+				if got[i].(int) != want[i] {
+					t.Fatalf("trial %d (dedicated=%v) output %d: got %v, want %v (grain %d, edges %v)",
 						trial, dedicated, i, got[i], want[i], grain, edges)
 				}
 			}
@@ -67,9 +63,10 @@ func TestExecutorMatchesDedicatedProperty(t *testing.T) {
 	}
 }
 
-// TestExecutorCancelPrefixProperty: under mid-stream cancellation the
-// executor wiring must deliver an ordered prefix of the oracle's
-// output — truncation is allowed, corruption and reordering are not.
+// TestExecutorCancelPrefixProperty: under mid-stream cancellation a
+// pipeline on a small dedicated executor must deliver an ordered
+// prefix of the sequential output — truncation is allowed, corruption
+// and reordering are not.
 func TestExecutorCancelPrefixProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	const items = 400
@@ -114,6 +111,59 @@ func TestExecutorCancelPrefixProperty(t *testing.T) {
 			if err != nil && err != context.Canceled {
 				t.Fatalf("trial %d grain %d: unexpected error %v", trial, grain, err)
 			}
+		}
+	}
+}
+
+// TestCancelLeavesNoGoroutines: a run cancelled mid-stream on a private
+// executor leaves no goroutine behind once the executor is closed —
+// the head batcher, stage dispatchers and drainers, fan-in/fan-out,
+// and delivery goroutines all exit.
+func TestCancelLeavesNoGoroutines(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	const items = 400
+	for cycle := 0; cycle < 50; cycle++ {
+		stages, edges := randTopology(r)
+		grain := []int{1, 16}[cycle%2]
+		cancelAt := 1 + r.Intn(items/2)
+		before := runtime.NumGoroutine()
+
+		ex := steal.New(2)
+		p := propBuild(t, stages, edges, grain)
+		p.UseExecutor(ex)
+		ctx, cancel := context.WithCancel(context.Background())
+		in := make(chan any)
+		out, errs := p.Run(ctx, in)
+		go func() {
+			defer close(in)
+			for i := 0; i < items; i++ {
+				select {
+				case in <- i:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}()
+		seen := 0
+		for range out {
+			seen++
+			if seen == cancelAt {
+				cancel()
+			}
+		}
+		<-errs
+		cancel()
+		ex.Close()
+
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				buf = buf[:runtime.Stack(buf, true)]
+				t.Fatalf("cycle %d (grain %d, cancel at %d, edges %v): %d goroutines, %d before the run\n%s",
+					cycle, grain, cancelAt, edges, runtime.NumGoroutine(), before, buf)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

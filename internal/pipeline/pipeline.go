@@ -17,16 +17,25 @@
 //
 // Stage parallelism is dynamic: SetReplicas adjusts a stage's worker
 // limit while the pipeline runs, which is the live counterpart of the
-// simulator's replicate action.
+// simulator's replicate action. Granularity is the second knob:
+// SetGrain (after EnableBatch) resizes the batches items travel in.
 //
-// The per-item hot path is allocation-free in steady state: each stage
-// runs a pool of persistent workers (spawned lazily up to the replica
-// limit's high-water mark, never one goroutine per item), the reorder
-// buffer is a sequence-indexed ring rather than a map, and service
-// times accumulate in atomic meters rather than under a mutex. Chains
-// built with New take exactly the historical linear wiring; only
-// graphs with actual splits/merges pay the zip/broadcast goroutines
-// (and one []any per item per merge boundary).
+// Every pipeline runs one wiring. The unit crossing a stage boundary
+// is a pooled slab of consecutively-sequenced items (batch.go); a
+// pipeline built without EnableBatch runs that wiring at grain 1,
+// where the head hands on every item as it arrives. Stage work runs
+// as tasks on a shared work-stealing executor (internal/conc/steal):
+// the replica limit bounds a stage's tasks in flight, and a per-stage
+// drainer goroutine restores order and owns every blocking send. A
+// panic in a stage function is recovered on its task and fails the
+// run with an error naming the stage and the item.
+//
+// The hot path is allocation-free in steady state: slabs recycle
+// through one process-wide pool, the reorder buffer is a
+// sequence-indexed ring rather than a map, and service times
+// accumulate in atomic meters rather than under a mutex. Only graphs
+// with actual splits/merges pay the fan-out/fan-in goroutines (and one
+// []any per item per merge boundary).
 package pipeline
 
 import (
@@ -79,13 +88,13 @@ type Pipeline struct {
 	ran    bool
 	mu     sync.Mutex
 
-	// Batched-boundary state (see batch.go). batchOn selects the wiring
-	// at Run; grain and linger are read atomically by the head batcher
-	// so SetGrain actuates while the pipeline runs.
+	// Grain state (see batch.go). batchOn records EnableBatch, which
+	// arms the SetGrain actuator; without it the grain stays 1. grain
+	// and linger are read atomically by the head batcher so SetGrain
+	// actuates while the pipeline runs.
 	batchOn bool
 	grain   atomic.Int64
 	linger  atomic.Int64 // nanoseconds
-	slabs   sync.Pool    // *batch
 
 	// Per-boundary grain state (see edgegrain.go). Non-nil edgeGrains
 	// means EnableBatchEdges: one atomic grain per boundary (0 = head,
@@ -95,17 +104,9 @@ type Pipeline struct {
 	regrain    []bool
 	actBounds  []int
 
-	// Shared work-stealing executor state. Stage work runs as tasks on
-	// the process-wide steal.Default() worker set (replica counts act
-	// as in-flight limits); exec overrides the executor, noExec reverts
-	// to the historical dedicated per-stage pools.
-	exec   *steal.Executor
-	noExec bool
-
-	// carriers pools the *seqItem boxes the unbatched executor path
-	// submits as task arguments, so the per-item hot path allocates
-	// nothing in steady state.
-	carriers sync.Pool
+	// exec overrides the process-wide steal.Default() executor that
+	// stage tasks run on (replica counts act as in-flight limits).
+	exec *steal.Executor
 }
 
 // UseExecutor points the pipeline at a specific work-stealing executor
@@ -115,25 +116,10 @@ func (p *Pipeline) UseExecutor(e *steal.Executor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.exec = e
-	p.noExec = false
 }
 
-// DisableExecutor reverts the pipeline to dedicated per-stage worker
-// pools — the pre-executor wiring, kept as the oracle half of the
-// executor-on == executor-off equivalence property. Call before Run.
-func (p *Pipeline) DisableExecutor() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.exec = nil
-	p.noExec = true
-}
-
-// executor resolves the worker set Run dispatches stage tasks to; nil
-// means dedicated per-stage pools.
+// executor resolves the worker set Run dispatches stage tasks to.
 func (p *Pipeline) executor() *steal.Executor {
-	if p.noExec {
-		return nil
-	}
 	if p.exec != nil {
 		return p.exec
 	}
@@ -165,6 +151,7 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 		edges:  append([]topo.Edge(nil), edges...),
 	}
 	copy(p.stages, stages)
+	p.grain.Store(1)
 	tg := &topo.Graph{Stages: make([]topo.Stage, len(stages)), Edges: p.edges}
 	for i := range p.stages {
 		st := &p.stages[i]
@@ -234,11 +221,6 @@ func (p *Pipeline) Stats() []StageStats {
 	return out
 }
 
-type seqItem struct {
-	seq int
-	v   any
-}
-
 // Run starts the pipeline over the input stream. The returned output
 // channel yields results in input order and is closed when the input
 // channel is exhausted and drained, the context is cancelled, or a
@@ -251,17 +233,8 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		panic("pipeline: Run called twice")
 	}
 	p.ran = true
-	batched := p.batchOn
 	p.mu.Unlock()
-	if batched {
-		return p.runBatched(ctx, inputs)
-	}
-	return p.runUnbatched(ctx, inputs)
-}
 
-// runUnbatched is Run's historical per-item wiring: every stage
-// boundary carries one seqItem per item.
-func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan any, <-chan error) {
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		errOnce  sync.Once
@@ -274,38 +247,16 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 		})
 	}
 
-	// Sequence-tag the inputs.
-	head := make(chan seqItem, p.stages[0].Buffer)
 	var wg sync.WaitGroup
+	head := make(chan *batch, p.stages[0].Buffer)
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(head)
-		seq := 0
-		for {
-			select {
-			case v, ok := <-inputs:
-				if !ok {
-					return
-				}
-				select {
-				case head <- seqItem{seq, v}:
-					seq++
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	go p.packHead(ctx, inputs, head, &wg)
 
-	// Wire one channel per graph edge, each carrying a sequence-
-	// ordered stream, buffered by the producing stage's capacity (the
-	// historical chain wiring). Splits broadcast through a fan-out
-	// goroutine; merges zip their in-streams, which are all ordered
-	// 0,1,2,…, so the join is a lockstep read — 1-for-1 ordering
-	// survives fan-in by construction.
+	// Wire one *batch channel per graph edge, buffered by the producing
+	// stage's capacity. Splits share each batch across their out-edges
+	// through a fan-out goroutine; merges zip their in-streams, which
+	// are all ordered 0,1,2,…, so the join is a lockstep read — 1-for-1
+	// ordering survives fan-in by construction.
 	n := len(p.stages)
 	inEdges := make([][]int, n)
 	outEdges := make([][]int, n)
@@ -313,60 +264,74 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 		outEdges[e.From] = append(outEdges[e.From], ei)
 		inEdges[e.To] = append(inEdges[e.To], ei)
 	}
-	chans := make([]chan seqItem, len(p.edges))
+	chans := make([]chan *batch, len(p.edges))
 	for ei, e := range p.edges {
-		chans[ei] = make(chan seqItem, p.stages[e.From].Buffer)
+		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
 	}
-	final := make(chan seqItem, p.stages[n-1].Buffer)
+	final := make(chan *batch, p.stages[n-1].Buffer)
 
 	for i := range p.stages {
-		var in <-chan seqItem
+		var in <-chan *batch
 		switch {
 		case len(inEdges[i]) == 0: // entry
 			in = head
 		case len(inEdges[i]) == 1:
 			in = chans[inEdges[i][0]]
-		default: // merge: zip the ordered in-streams
-			ins := make([]<-chan seqItem, len(inEdges[i]))
+		default: // merge: zip the batch streams
+			ins := make([]<-chan *batch, len(inEdges[i]))
 			for k, ei := range inEdges[i] {
 				ins[k] = chans[ei]
 			}
-			joined := make(chan seqItem, p.stages[i].Buffer)
+			joined := make(chan *batch, p.stages[i].Buffer)
 			wg.Add(1)
-			go zipJoin(ctx, ins, joined, &wg, fail)
+			go fanIn(ctx, ins, joined, &wg, fail)
 			in = joined
 		}
-		var out chan seqItem
+		var out chan *batch
 		switch {
 		case len(outEdges[i]) == 0: // exit
 			out = final
 		case len(outEdges[i]) == 1:
 			out = chans[outEdges[i][0]]
-		default: // split: broadcast to every out-edge
-			outs := make([]chan<- seqItem, len(outEdges[i]))
+		default: // split: share the batch across every out-edge
+			outs := make([]chan<- *batch, len(outEdges[i]))
 			for k, ei := range outEdges[i] {
 				outs[k] = chans[ei]
 			}
-			spread := make(chan seqItem, p.stages[i].Buffer)
+			spread := make(chan *batch, p.stages[i].Buffer)
 			wg.Add(1)
-			go broadcast(ctx, spread, outs, &wg)
+			go fanOut(ctx, spread, outs, &wg)
 			out = spread
 		}
+		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
+		// the producing stage's sink; bridge edges always leave a
+		// single-out stage, so a split never re-slabs (its consumers
+		// share one slab and must agree on its shape).
+		var edgeGrain *atomic.Int64
+		if len(outEdges[i]) == 1 {
+			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
+				edgeGrain = &p.edgeGrains[1+ei]
+			}
+		}
 		wg.Add(1)
-		go p.runStage(ctx, i, in, out, &wg, fail)
+		go p.serveStage(ctx, i, in, out, edgeGrain, &wg, fail)
 	}
 
 	results := make(chan any)
 	errs := make(chan error, 1)
 	wg.Add(1)
-	go func() { // untag and deliver
+	go func() { // unpack batches and deliver items in order
 		defer wg.Done()
-		for it := range final {
-			select {
-			case results <- it.v:
-			case <-ctx.Done():
-				return
+		for b := range final {
+			for _, v := range b.items {
+				select {
+				case results <- v:
+				case <-ctx.Done():
+					releaseBatch(b)
+					return
+				}
 			}
+			releaseBatch(b)
 		}
 	}()
 	go func() {
@@ -384,70 +349,24 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 	return results, errs
 }
 
-// itemSink restores sequence order at a replicated stage's output. The
-// worker that completes an item puts it into the ring under the sink
-// mutex and drains everything now emittable directly onto the out
-// channel. Historically a dedicated reorder goroutine sat behind a
-// buffered done channel here; on few-core machines that cost one extra
-// channel hop and one extra goroutine wake-up per item, which is how
-// the per-item boundary fell behind the seed's goroutine-per-item
-// design (see DESIGN.md, "Granularity & batching"). A blocked send
-// only ever holds the mutex against sibling workers that would block
-// on the same full boundary anyway.
-type itemSink struct {
-	ctx     context.Context
-	out     chan<- seqItem
-	mu      sync.Mutex
-	pending ring.Reorder[any]
-	// dead latches after the first in-order send lost to cancellation:
-	// a select with both the send and ctx.Done ready picks randomly, so
-	// without the latch a sink could drop item N yet deliver N+1 —
-	// cancellation must truncate the ordered stream, never puncture it.
-	dead bool
-}
-
-func (s *itemSink) put(seq int, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending.Put(seq, v)
-	if s.dead {
-		return
-	}
-	for {
-		seq2, v2, ok := s.pending.PopNext()
-		if !ok {
-			return
-		}
-		select {
-		case s.out <- seqItem{seq2, v2}:
-		case <-s.ctx.Done():
-			s.dead = true
-			return
-		}
-	}
-}
-
-// dropped is the tombstone a failed task leaves in its sink so the
-// sequence stays gap-free while cancellation unwinds.
-type dropped struct{}
-
-// taskSink is the executor-mode counterpart of itemSink/batchSink:
-// completed tasks put their result into the reorder ring without ever
-// blocking (executor workers must stay runnable — see runStage), and
-// the stage's drainer goroutine pulls results in sequence order via
-// next, blocking there instead. notify is a buffered(1) edge trigger:
-// a put that finds it full loses nothing, because the drainer re-scans
-// the ring before sleeping.
+// taskSink is the reorder ring between a stage's executor tasks and
+// its drainer: completed tasks put their output batch (nil for a
+// failed task's tombstone) into the ring without ever blocking
+// (executor workers must stay runnable — see serveStage), and the
+// stage's drainer goroutine pulls them in index order via next,
+// blocking there instead. notify is a buffered(1) edge trigger: a put
+// that finds it full loses nothing, because the drainer re-scans the
+// ring before sleeping.
 type taskSink struct {
 	mu      sync.Mutex
-	pending ring.Reorder[any]
+	pending ring.Reorder[*batch]
 	closed  bool
 	notify  chan struct{}
 }
 
-func (s *taskSink) put(seq int, v any) {
+func (s *taskSink) put(idx int, b *batch) {
 	s.mu.Lock()
-	s.pending.Put(seq, v)
+	s.pending.Put(idx, b)
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -467,219 +386,21 @@ func (s *taskSink) close() {
 	}
 }
 
-// next blocks until the next in-sequence result is available (or the
-// sink is closed and drained).
-func (s *taskSink) next() (int, any, bool) {
+// next blocks until the next in-order batch is available (or the sink
+// is closed and drained).
+func (s *taskSink) next() (*batch, bool) {
 	for {
 		s.mu.Lock()
-		if seq, v, ok := s.pending.PopNext(); ok {
+		if _, b, ok := s.pending.PopNext(); ok {
 			s.mu.Unlock()
-			return seq, v, true
+			return b, true
 		}
 		closed := s.closed
 		s.mu.Unlock()
 		if closed {
-			return 0, nil, false
+			return nil, false
 		}
 		<-s.notify
-	}
-}
-
-// runStage dispatches items of stage i to the shared work-stealing
-// executor (or, executor-off, to a dedicated pool of persistent
-// workers) bounded by the stage's replica limit, and restores output
-// order. Either way, steady-state dispatch costs no goroutine spawn
-// and no closure allocation per item.
-func (p *Pipeline) runStage(ctx context.Context, i int, in <-chan seqItem, out chan<- seqItem, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	lim := p.limits[i]
-	met := p.meters[i]
-	fn := p.stages[i].Fn
-	name := p.stages[i].Name
-
-	sink := itemSink{ctx: ctx, out: out}
-	process := func(it seqItem) {
-		t0 := time.Now()
-		v, err := fn(ctx, it.v)
-		met.Record(time.Since(t0))
-		if err != nil {
-			fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, it.seq, err))
-			return
-		}
-		sink.put(it.seq, v)
-	}
-
-	if ex := p.executor(); ex != nil {
-		// Shared-executor mode: the replica limit is an in-flight
-		// bound, acquired before the item is handed to the fleet and
-		// released when the drainer hands the result downstream. Items
-		// travel in pooled carriers so boxing them into the task's any
-		// costs nothing in steady state.
-		//
-		// Executor tasks must never block: with a shared worker set a
-		// task stuck in a channel send can occupy the worker that would
-		// have run the downstream task draining that very channel (on a
-		// 1-worker set this deadlocks outright). So tasks finish into
-		// the sink's reorder ring — a mutex-guarded put, no send — and
-		// this stage's drainer goroutine, which may block freely, owns
-		// the ordered sends and the limiter release. Releasing only on
-		// downstream accept keeps end-to-end backpressure: at most
-		// Replicas items sit computed-but-undelivered per stage.
-		var inFlight sync.WaitGroup
-		sink := &taskSink{notify: make(chan struct{}, 1)}
-		wg.Add(1)
-		go func() { // drainer: the only executor-mode blocking point
-			defer wg.Done()
-			dead := false // see itemSink.dead: truncate, never puncture
-			for {
-				seq, v, ok := sink.next()
-				if !ok {
-					return
-				}
-				if _, gone := v.(dropped); !gone && !dead {
-					select {
-					case out <- seqItem{seq, v}:
-					case <-ctx.Done():
-						dead = true
-					}
-				}
-				lim.Release()
-				inFlight.Done()
-			}
-		}()
-		taskFn := func(arg any) {
-			c := arg.(*seqItem)
-			it := *c
-			*c = seqItem{}
-			p.carriers.Put(c)
-			t0 := time.Now()
-			v, err := fn(ctx, it.v)
-			met.Record(time.Since(t0))
-			if err != nil {
-				fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, it.seq, err))
-				// A tombstone keeps the sequence gap-free so the
-				// drainer can keep releasing in-flight tokens while
-				// the cancellation unwinds.
-				v = dropped{}
-			}
-			sink.put(it.seq, v)
-		}
-		for {
-			var it seqItem
-			var ok bool
-			select {
-			case it, ok = <-in:
-			case <-ctx.Done():
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			lim.Acquire()
-			c, _ := p.carriers.Get().(*seqItem)
-			if c == nil {
-				c = new(seqItem)
-			}
-			*c = it
-			inFlight.Add(1)
-			ex.Submit(steal.Task{Fn: taskFn, Arg: c})
-		}
-		inFlight.Wait()
-		sink.close()
-		close(out)
-		return
-	}
-
-	// The pool buffer absorbs a full complement of replicas between
-	// dispatcher and workers — sized from the stage's initial replica
-	// limit rather than hard-coded. Channel capacity cannot resize,
-	// so a stage grown far beyond its initial Replicas keeps this
-	// startup capacity; that only adds backpressure, never deadlock.
-	poolCap := 2 * p.stages[i].Replicas
-	if poolCap < 8 {
-		poolCap = 8
-	}
-	pool := conc.NewPool(lim, poolCap, process)
-	for {
-		var it seqItem
-		var ok bool
-		select {
-		case it, ok = <-in:
-		case <-ctx.Done():
-			ok = false
-		}
-		if !ok {
-			break
-		}
-		pool.Submit(it)
-	}
-	pool.Close()
-	close(out)
-}
-
-// zipJoin merges the in-streams of a fan-in stage. Every in-stream is
-// sequence-ordered (0,1,2,…) and 1-for-1, so the join reads one item
-// per stream in lockstep and emits a []any of the parts in in-edge
-// order under the shared sequence number.
-func zipJoin(ctx context.Context, ins []<-chan seqItem, out chan<- seqItem, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	defer close(out)
-	for {
-		parts := make([]any, len(ins))
-		seq := -1
-		for k, ch := range ins {
-			select {
-			case it, ok := <-ch:
-				if !ok {
-					// Streams carry identical sequences; the first to
-					// close ends the join (its siblings close with the
-					// same count unless the run is already failing).
-					return
-				}
-				if seq >= 0 && it.seq != seq {
-					fail(fmt.Errorf("pipeline: fan-in sequence skew (%d vs %d)", it.seq, seq))
-					return
-				}
-				seq = it.seq
-				parts[k] = it.v
-			case <-ctx.Done():
-				return
-			}
-		}
-		select {
-		case out <- seqItem{seq, parts}:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// broadcast fans a split stage's ordered output onto every out-edge.
-func broadcast(ctx context.Context, in <-chan seqItem, outs []chan<- seqItem, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer func() {
-		for _, ch := range outs {
-			close(ch)
-		}
-	}()
-	for {
-		var it seqItem
-		var ok bool
-		select {
-		case it, ok = <-in:
-		case <-ctx.Done():
-			return
-		}
-		if !ok {
-			return
-		}
-		for _, ch := range outs {
-			select {
-			case ch <- it:
-			case <-ctx.Done():
-				return
-			}
-		}
 	}
 }
 

@@ -412,6 +412,59 @@ func TestErrorIdentifiesStageAndItem(t *testing.T) {
 	}
 }
 
+// A panicking stage function fails its run with an error naming the
+// stage and the item, instead of crashing the process from a worker of
+// the shared executor; a pipeline running beside it on the same
+// default executor still completes.
+func TestStagePanicBecomesError(t *testing.T) {
+	for _, grain := range []int{1, 16} {
+		p, err := New(
+			Stage{Name: "pre", Fn: inc, Replicas: 2},
+			Stage{Name: "bomb", Fn: func(_ context.Context, v any) (any, error) {
+				if v.(int) == 38 {
+					panic("boom")
+				}
+				return v, nil
+			}, Replicas: 3},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grain > 1 {
+			if err := p.EnableBatch(grain, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bystander, err := New(Stage{Name: "ok", Fn: double, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 2000
+		done := make(chan error, 1)
+		go func() {
+			got, err := bystander.Process(context.Background(), ints(n))
+			if err == nil && len(got) != n {
+				err = fmt.Errorf("%d outputs for %d inputs", len(got), n)
+			}
+			done <- err
+		}()
+
+		_, err = p.Process(context.Background(), ints(100))
+		if err == nil {
+			t.Fatalf("grain %d: panicking stage reported no error", grain)
+		}
+		msg := err.Error()
+		for _, want := range []string{"stage bomb", "item 37", "panic: boom", "TestStagePanicBecomesError"} {
+			if !contains(msg, want) {
+				t.Errorf("grain %d: error lacks %q:\n%s", grain, want, msg)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("grain %d: bystander pipeline: %v", grain, err)
+		}
+	}
+}
+
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
 		func() bool {
