@@ -76,7 +76,7 @@ func Micros() []Micro {
 		},
 		{
 			Name: "farm/unordered",
-			Desc: "unordered farm throughput: persistent workers + atomic meter, per item",
+			Desc: "unordered farm throughput: a one-stage pipeline delivering in completion order, per item",
 			Run:  benchFarmUnordered,
 		},
 		{

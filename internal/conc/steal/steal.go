@@ -279,8 +279,8 @@ func (e *Executor) Submit(t Task) {
 
 // Close stops the workers after every previously submitted task has
 // run. The caller must guarantee no Submit races or follows Close
-// (the skeletons' dispatchers await their in-flight tasks with their
-// own WaitGroup before tearing anything down).
+// (a skeleton's run ends only after each stage's drainer has taken the
+// result of every task its dispatcher submitted).
 func (e *Executor) Close() {
 	e.stop.Store(true)
 	e.parkMu.Lock()

@@ -106,9 +106,9 @@ func (p *Prediction) CloneBusyInto(dst []float64) []float64 {
 // to VisitMappings (or call Offer per candidate) and read the winner
 // from Mapping/Pred when done. Ties break towards the earlier
 // candidate, exactly like Best over a materialized slice — so
-// VisitMappings + BestVisitor replaces EnumerateOver + Best without
-// changing any chosen mapping, while holding one candidate in memory
-// instead of np^ns.
+// VisitMappings + BestVisitor chooses the same mapping as Best over
+// every candidate, while holding one candidate in memory instead of
+// np^ns.
 //
 // The zero value is NOT ready: construct with NewBestVisitor. The
 // visitor owns its result storage and reuses it across Reset, so a

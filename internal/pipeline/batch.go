@@ -12,19 +12,23 @@
 //
 // Invariants:
 //
-//   - batches are formed exactly once, at the head; every stage maps
-//     one input batch to one output batch of the same index, first
-//     sequence number, and length, so batch boundaries stay aligned
-//     along every path of the stage graph and a fan-in zips its
-//     in-streams batch-by-batch;
-//   - the head flushes a batch when it reaches the current grain
-//     (SetGrain, readable while running — the adaptive controller's
-//     second actuator dimension) or when the oldest item in it has
-//     lingered for the linger timeout, so a trickle input keeps
-//     bounded latency: downstream boundaries never hold a batch, which
-//     makes the head's linger the only batching wait anywhere. At
-//     grain 1 every item is a full batch, flushed on arrival, so the
-//     linger timer is never even created;
+//   - batches are formed exactly once, by the entry stage, which packs
+//     the caller's inputs itself (packHead) and submits each batch as
+//     one task; every stage maps one input batch to one output batch
+//     of the same index, first sequence number, and length, so batch
+//     boundaries stay aligned along every path of the stage graph and
+//     a fan-in zips its in-streams batch-by-batch;
+//   - the entry stage flushes a batch when it reaches the current
+//     grain (SetGrain, readable while running — the adaptive
+//     controller's second actuator dimension) or when the oldest item
+//     in it has lingered for the linger timeout, so a trickle input
+//     keeps bounded latency: downstream boundaries never hold a batch,
+//     which makes the head's linger the only batching wait anywhere.
+//     At grain 1 every item is a full batch, flushed on arrival, so
+//     the linger timer is never even created;
+//   - the exit stage's drainer unpacks each batch into the caller's
+//     result channel — in index order, or in completion order under
+//     CompletionOrder (the unordered farm);
 //   - slabs are reference-counted (a fan-out shares one batch among
 //     all out-edges) and recycled through one process-wide sync.Pool,
 //     so the steady-state boundary performs no per-item and no
@@ -40,11 +44,13 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gridpipe/internal/conc"
 	"gridpipe/internal/conc/steal"
 )
 
@@ -148,13 +154,12 @@ func (p *Pipeline) SetGrain(n int) error {
 // Grain returns the current head batch size (1 without EnableBatch).
 func (p *Pipeline) Grain() int { return int(p.grain.Load()) }
 
-// packHead is the head batcher: it sequence-tags the inputs and packs
-// them into slabs, flushed on grain or linger. This is the only place
+// packHead is the head batcher, run by the entry stage's dispatcher:
+// it sequence-tags the inputs, packs them into slabs flushed on grain
+// or linger, and submits each slab as one task. This is the only place
 // batches are formed, so it is the only boundary where an item ever
-// waits.
-func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- *batch, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer close(head)
+// waits. It returns the number of batches submitted.
+func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, submit func(*batch)) int {
 	seq, idx := 0, 0
 	var cur *batch
 	// The linger timer is created on the first partial batch, so a
@@ -166,17 +171,12 @@ func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- 
 			timer.Stop()
 		}
 	}()
-	flush := func(eager bool) bool {
+	flush := func(eager bool) {
 		cur.eager = eager
-		select {
-		case head <- cur:
-		case <-ctx.Done():
-			return false
-		}
+		submit(cur)
 		cur = nil
 		timerC = nil
 		idx++
-		return true
 	}
 	for {
 		select {
@@ -185,7 +185,16 @@ func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- 
 				if cur != nil {
 					flush(true)
 				}
-				return
+				return idx
+			}
+			if seq == 0 {
+				// Receiving the first input readied its sender into this
+				// P's runnext slot; the first submit would wake an
+				// executor worker into that slot instead and push the
+				// sender to the back of the run queue. Yielding once
+				// lets the feeder resume first, so the run accepts its
+				// first input without a scheduling round trip.
+				runtime.Gosched()
 			}
 			if cur == nil {
 				cur = newBatch(idx, seq)
@@ -200,9 +209,7 @@ func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- 
 				// the last traffic for a while; marking it eager lets
 				// coarsening downstream boundaries drain instead of
 				// parking its items until the next input burst.
-				if !flush(len(inputs) == 0) {
-					return
-				}
+				flush(len(inputs) == 0)
 			} else if timerC == nil {
 				// The linger clock anchors to the slab's oldest item.
 				d := time.Duration(p.linger.Load())
@@ -214,17 +221,19 @@ func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- 
 				timerC = timer.C
 			}
 		case <-timerC:
-			if !flush(true) {
-				return
-			}
+			flush(true)
 		case <-ctx.Done():
-			return
+			if cur != nil {
+				releaseBatch(cur)
+			}
+			return idx
 		}
 	}
 }
 
 // batchSink owns a stage's out-edge: the stage's drainer hands it each
-// batch in index order (under mu), and it sends the batch downstream.
+// batch in index order, and it sends the batch downstream — or, at the
+// exit stage, sends the batch's items to the caller's result channel.
 //
 // When the stage's out-edge is a regraining boundary (EnableBatchEdges
 // on a bridge edge), the sink additionally re-slabs the ordered stream
@@ -236,12 +245,12 @@ func (p *Pipeline) packHead(ctx context.Context, inputs <-chan any, head chan<- 
 // sees exactly the 0,1,2,… it requires.
 type batchSink struct {
 	ctx     context.Context
-	out     chan<- *batch
+	out     chan<- *batch // downstream edge (nil at the exit stage)
+	results chan<- any    // the caller's result channel (exit stage only)
 	grain   *atomic.Int64 // non-nil: re-slab to this edge grain
-	mu      sync.Mutex
-	acc     *batch // regrain accumulator (guarded by mu)
-	nextIdx int    // next re-slabbed batch index on this edge
-	nextSeq int    // first sequence number of the next re-slabbed batch
+	acc     *batch        // regrain accumulator
+	nextIdx int           // next re-slabbed batch index on this edge
+	nextSeq int           // first sequence number of the next re-slabbed batch
 	// dead latches after the first in-order send lost to cancellation:
 	// a select with both the send and ctx.Done ready picks randomly, so
 	// without the latch a sink could drop batch N yet deliver N+1 —
@@ -249,34 +258,49 @@ type batchSink struct {
 	dead bool
 }
 
-// emit hands one in-order batch downstream — directly, or through the
-// re-slab accumulator when the out-edge regrains. Runs under s.mu and
-// owns the batch either way; false (also latched into s.dead) means
-// the context cancelled mid-send.
-func (s *batchSink) emit(nb *batch) bool {
-	ok := s.deliver(nb)
-	if !ok {
+// emit hands one in-order batch on and owns it either way; once the
+// sink is dead it only releases it.
+func (s *batchSink) emit(nb *batch) {
+	if s.dead {
+		releaseBatch(nb)
+		return
+	}
+	if !s.deliver(nb) {
 		s.dead = true
 	}
-	return ok
 }
 
+// deliver sends nb downstream, unpacks it into the result channel, or
+// folds it into the re-slab accumulator; false means the context
+// cancelled mid-send.
 func (s *batchSink) deliver(nb *batch) bool {
-	if s.grain == nil {
-		select {
-		case s.out <- nb:
-			return true
-		case <-s.ctx.Done():
-			releaseBatch(nb)
-			return false
+	switch {
+	case s.results != nil:
+		for _, v := range nb.items {
+			select {
+			case s.results <- v:
+			case <-s.ctx.Done():
+				releaseBatch(nb)
+				return false
+			}
 		}
+		releaseBatch(nb)
+		return true
+	case s.grain != nil:
+		return s.regrain(nb)
 	}
-	return s.regrain(nb)
+	select {
+	case s.out <- nb:
+		return true
+	case <-s.ctx.Done():
+		releaseBatch(nb)
+		return false
+	}
 }
 
 // regrain folds one in-order batch into the accumulator, flushing at
-// the edge grain and on eager pressure. Runs under s.mu; false means
-// the context cancelled mid-send.
+// the edge grain and on eager pressure; false means the context
+// cancelled mid-send.
 func (s *batchSink) regrain(nb *batch) bool {
 	tgt := int(s.grain.Load())
 	if tgt < 1 {
@@ -302,7 +326,7 @@ func (s *batchSink) regrain(nb *batch) bool {
 	return true
 }
 
-// flushAcc emits the accumulator downstream. Runs under s.mu.
+// flushAcc emits the accumulator downstream.
 func (s *batchSink) flushAcc(eager bool) bool {
 	s.acc.eager = eager
 	s.nextIdx++
@@ -322,9 +346,7 @@ func (s *batchSink) flushAcc(eager bool) bool {
 // count not divisible by the edge grain still delivers every item. A
 // dead sink drops the tail instead — it already truncated the stream.
 func (s *batchSink) flushTail() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.acc == nil || len(s.acc.items) == 0 {
+	if s.acc == nil {
 		return
 	}
 	if s.dead {
@@ -337,56 +359,46 @@ func (s *batchSink) flushTail() {
 	}
 }
 
-// serveStage runs stage i: it dispatches each input batch as one task
-// on the shared work-stealing executor — one limiter acquire, one
-// handoff, and one reorder operation per batch — and the task applies
-// the stage function to the batch's items in sequence order.
-// edgeGrain, when non-nil, makes the sink re-slab the stage's out-edge
-// to that grain (see batchSink).
+// stageRun is one stage's state for one run. Its dispatcher goroutine
+// (dispatch, or packInputs at the entry stage) submits each input
+// batch as one task on the shared work-stealing executor — one limiter
+// acquire, one handoff, and one reorder operation per batch — and the
+// task applies the stage function to the batch's items in sequence
+// order.
 //
 // Executor tasks never block: with a shared worker set a task stuck in
 // a channel send can occupy the worker that would have run the
 // downstream task draining that very channel (on a 1-worker set this
-// deadlocks outright). So a processed batch lands in a taskSink ring,
-// and this stage's drainer goroutine, which may block freely, owns the
-// ordered (and possibly re-slabbing) sends plus the limiter release.
-// Releasing only on downstream accept keeps end-to-end backpressure:
-// at most Replicas batches sit computed-but-undelivered per stage.
-func (p *Pipeline) serveStage(ctx context.Context, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	lim := p.limits[i]
+// deadlocks outright). So a processed batch lands in the taskSink
+// ring, and the stage's drainer goroutine (drain), which may block
+// freely, owns the ordered (and possibly re-slabbing or unpacking)
+// sends plus the limiter release. Releasing only on downstream accept
+// keeps end-to-end backpressure: at most Replicas batches sit
+// computed-but-undelivered per stage.
+type stageRun struct {
+	ctx    context.Context
+	lim    *conc.Limiter
+	sink   batchSink
+	tasks  taskSink
+	submit func(*batch)
+}
+
+// newStageRun builds stage i's run state: sinks, task, and submit.
+// arrival keys the task ring by completion order (the unordered exit).
+func (p *Pipeline) newStageRun(ctx context.Context, i int, sink batchSink, arrival bool, fail func(error)) *stageRun {
+	st := &stageRun{
+		ctx:   ctx,
+		lim:   p.limits[i],
+		sink:  sink,
+		tasks: taskSink{arrival: arrival, total: -1, notify: make(chan struct{}, 1)},
+	}
 	met := p.meters[i]
 	fn := p.stages[i].Fn
 	name := p.stages[i].Name
 	ex := p.executor()
-
-	sink := batchSink{ctx: ctx, out: out, grain: edgeGrain}
-	var inFlight sync.WaitGroup
-	tsink := &taskSink{notify: make(chan struct{}, 1)}
-	wg.Add(1)
-	go func() { // drainer
-		defer wg.Done()
-		for {
-			ob, ok := tsink.next()
-			if !ok {
-				return
-			}
-			if ob != nil { // nil = failed-task tombstone
-				sink.mu.Lock()
-				if sink.dead {
-					releaseBatch(ob)
-				} else {
-					sink.emit(ob)
-				}
-				sink.mu.Unlock()
-			}
-			lim.Release()
-			inFlight.Done()
-		}
-	}()
 	// The pooled slab itself is the task argument, so submission boxes
 	// nothing.
-	taskFn := func(arg any) {
+	task := func(arg any) {
 		b := arg.(*batch)
 		idx := b.idx
 		ob := newBatch(idx, b.seq)
@@ -400,31 +412,67 @@ func (p *Pipeline) serveStage(ctx context.Context, i int, in <-chan *batch, out 
 			// A tombstone keeps the sequence gap-free so the drainer
 			// can keep releasing in-flight tokens while the
 			// cancellation unwinds.
-			tsink.put(idx, nil)
+			st.tasks.put(idx, nil)
 			return
 		}
 		met.RecordN(int64(len(ob.items)), time.Since(t0))
-		tsink.put(idx, ob)
+		st.tasks.put(idx, ob)
 	}
+	lim := st.lim
+	st.submit = func(b *batch) {
+		lim.Acquire()
+		ex.Submit(steal.Task{Fn: task, Arg: b})
+	}
+	return st
+}
+
+// packInputs is the entry stage's dispatcher: it batches the caller's
+// inputs straight into tasks.
+func (st *stageRun) packInputs(p *Pipeline, inputs <-chan any, wg *sync.WaitGroup) {
+	defer wg.Done()
+	st.tasks.close(p.packHead(st.ctx, inputs, st.submit))
+}
+
+// dispatch is an inner stage's dispatcher: it submits each batch from
+// the stage's in-edge as a task.
+func (st *stageRun) dispatch(in <-chan *batch, wg *sync.WaitGroup) {
+	defer wg.Done()
+	n := 0
 	for {
-		var b *batch
-		var ok bool
 		select {
-		case b, ok = <-in:
-		case <-ctx.Done():
-			ok = false
+		case b, ok := <-in:
+			if !ok {
+				st.tasks.close(n)
+				return
+			}
+			st.submit(b)
+			n++
+		case <-st.ctx.Done():
+			st.tasks.close(n)
+			return
 		}
+	}
+}
+
+// drain hands the stage's finished batches on in order (nil is a
+// failed task's tombstone) and frees each batch's limiter token once
+// the batch is accepted downstream.
+func (st *stageRun) drain(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		ob, ok := st.tasks.next()
 		if !ok {
 			break
 		}
-		lim.Acquire()
-		inFlight.Add(1)
-		ex.Submit(steal.Task{Fn: taskFn, Arg: b})
+		if ob != nil {
+			st.sink.emit(ob)
+		}
+		st.lim.Release()
 	}
-	inFlight.Wait()
-	tsink.close()
-	sink.flushTail()
-	close(out)
+	if st.sink.out != nil {
+		st.sink.flushTail()
+		close(st.sink.out)
+	}
 }
 
 // applyStage appends fn's result for each item of b to ob, in sequence

@@ -115,59 +115,6 @@ func TestExecutorCancelPrefixProperty(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesNoGoroutines: a run cancelled mid-stream on a private
-// executor leaves no goroutine behind once the executor is closed —
-// the head batcher, stage dispatchers and drainers, fan-in/fan-out,
-// and delivery goroutines all exit.
-func TestCancelLeavesNoGoroutines(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	const items = 400
-	for cycle := 0; cycle < 50; cycle++ {
-		stages, edges := randTopology(r)
-		grain := []int{1, 16}[cycle%2]
-		cancelAt := 1 + r.Intn(items/2)
-		before := runtime.NumGoroutine()
-
-		ex := steal.New(2)
-		p := propBuild(t, stages, edges, grain)
-		p.UseExecutor(ex)
-		ctx, cancel := context.WithCancel(context.Background())
-		in := make(chan any)
-		out, errs := p.Run(ctx, in)
-		go func() {
-			defer close(in)
-			for i := 0; i < items; i++ {
-				select {
-				case in <- i:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		seen := 0
-		for range out {
-			seen++
-			if seen == cancelAt {
-				cancel()
-			}
-		}
-		<-errs
-		cancel()
-		ex.Close()
-
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				buf = buf[:runtime.Stack(buf, true)]
-				t.Fatalf("cycle %d (grain %d, cancel at %d, edges %v): %d goroutines, %d before the run\n%s",
-					cycle, grain, cancelAt, edges, runtime.NumGoroutine(), before, buf)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
 // TestGrainResizeConcurrentMidFlight is the mid-flight actuation
 // regression test: SetGrain/SetGrainAt racing SetReplicas on a running
 // batched pipeline must stay race-free and never drop or reorder an

@@ -23,12 +23,18 @@
 // Every pipeline runs one wiring. The unit crossing a stage boundary
 // is a pooled slab of consecutively-sequenced items (batch.go); a
 // pipeline built without EnableBatch runs that wiring at grain 1,
-// where the head hands on every item as it arrives. Stage work runs
-// as tasks on a shared work-stealing executor (internal/conc/steal):
-// the replica limit bounds a stage's tasks in flight, and a per-stage
-// drainer goroutine restores order and owns every blocking send. A
-// panic in a stage function is recovered on its task and fails the
-// run with an error naming the stage and the item.
+// where the entry stage hands on every item as it arrives. Each stage
+// has two goroutines: a dispatcher submits its input batches as tasks
+// to a shared work-stealing executor (internal/conc/steal), the
+// replica limit bounding its tasks in flight, and a drainer restores
+// order and owns every blocking send. The entry stage's dispatcher
+// reads and packs the caller's inputs itself, and the exit stage's
+// drainer sends items straight to the caller's result channel, so no
+// goroutine sits between the caller and the stages. A panic in a stage
+// function is recovered on its task and fails the run with an error
+// naming the stage and the item. The task farm (internal/farm) is a
+// one-stage pipeline; CompletionOrder switches its exit to completion
+// order for the unordered farm.
 //
 // The hot path is allocation-free in steady state: slabs recycle
 // through one process-wide pool, the reorder buffer is a
@@ -63,8 +69,9 @@ type Stage struct {
 	Fn Func
 	// Replicas is the initial worker limit (default 1).
 	Replicas int
-	// Buffer is the capacity of the stage's input channel (default 1),
-	// the bounded inter-stage buffer of the skeleton.
+	// Buffer is the capacity of the stage's out-edge channel (default
+	// 1), the bounded inter-stage buffer of the skeleton; for the exit
+	// stage it sizes the caller's result channel.
 	Buffer int
 }
 
@@ -107,6 +114,19 @@ type Pipeline struct {
 	// exec overrides the process-wide steal.Default() executor that
 	// stage tasks run on (replica counts act as in-flight limits).
 	exec *steal.Executor
+
+	// unordered makes the exit stage deliver in completion order (see
+	// CompletionOrder).
+	unordered bool
+}
+
+// CompletionOrder makes the exit stage hand results on as its batches
+// finish instead of in input order — the unordered farm is a one-stage
+// pipeline with this switch set. Call before Run.
+func (p *Pipeline) CompletionOrder() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.unordered = true
 }
 
 // UseExecutor points the pipeline at a specific work-stealing executor
@@ -222,7 +242,8 @@ func (p *Pipeline) Stats() []StageStats {
 }
 
 // Run starts the pipeline over the input stream. The returned output
-// channel yields results in input order and is closed when the input
+// channel yields results in input order (completion order after
+// CompletionOrder) and is closed when the input
 // channel is exhausted and drained, the context is cancelled, or a
 // stage fails. The error channel delivers at most one error (stage
 // failure or ctx.Err) and is closed with the output.
@@ -233,6 +254,7 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		panic("pipeline: Run called twice")
 	}
 	p.ran = true
+	unordered := p.unordered
 	p.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -247,16 +269,14 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		})
 	}
 
-	var wg sync.WaitGroup
-	head := make(chan *batch, p.stages[0].Buffer)
-	wg.Add(1)
-	go p.packHead(ctx, inputs, head, &wg)
-
 	// Wire one *batch channel per graph edge, buffered by the producing
-	// stage's capacity. Splits share each batch across their out-edges
-	// through a fan-out goroutine; merges zip their in-streams, which
-	// are all ordered 0,1,2,…, so the join is a lockstep read — 1-for-1
-	// ordering survives fan-in by construction.
+	// stage's capacity. The entry stage packs the caller's inputs
+	// itself and the exit stage's drainer unpacks into the result
+	// channel, so neither end has a channel of its own. Splits share
+	// each batch across their out-edges through a fan-out goroutine;
+	// merges zip their in-streams, which are all ordered 0,1,2,…, so
+	// the join is a lockstep read — 1-for-1 ordering survives fan-in by
+	// construction.
 	n := len(p.stages)
 	inEdges := make([][]int, n)
 	outEdges := make([][]int, n)
@@ -268,16 +288,16 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 	for ei, e := range p.edges {
 		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
 	}
-	final := make(chan *batch, p.stages[n-1].Buffer)
+	results := make(chan any, p.stages[n-1].Buffer)
+	errs := make(chan error, 1)
 
+	var wg sync.WaitGroup
 	for i := range p.stages {
-		var in <-chan *batch
+		var in <-chan *batch // nil for the entry stage
 		switch {
-		case len(inEdges[i]) == 0: // entry
-			in = head
 		case len(inEdges[i]) == 1:
 			in = chans[inEdges[i][0]]
-		default: // merge: zip the batch streams
+		case len(inEdges[i]) > 1: // merge: zip the batch streams
 			ins := make([]<-chan *batch, len(inEdges[i]))
 			for k, ei := range inEdges[i] {
 				ins[k] = chans[ei]
@@ -287,12 +307,21 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 			go fanIn(ctx, ins, joined, &wg, fail)
 			in = joined
 		}
-		var out chan *batch
+		sink := batchSink{ctx: ctx}
 		switch {
 		case len(outEdges[i]) == 0: // exit
-			out = final
+			sink.results = results
 		case len(outEdges[i]) == 1:
-			out = chans[outEdges[i][0]]
+			ei := outEdges[i][0]
+			sink.out = chans[ei]
+			// A bridge edge with its own grain (EnableBatchEdges)
+			// re-slabs at the producing stage's sink; bridge edges
+			// always leave a single-out stage, so a split never
+			// re-slabs (its consumers share one slab and must agree on
+			// its shape).
+			if p.regrain != nil && p.regrain[ei] {
+				sink.grain = &p.edgeGrains[1+ei]
+			}
 		default: // split: share the batch across every out-edge
 			outs := make([]chan<- *batch, len(outEdges[i]))
 			for k, ei := range outEdges[i] {
@@ -301,39 +330,21 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 			spread := make(chan *batch, p.stages[i].Buffer)
 			wg.Add(1)
 			go fanOut(ctx, spread, outs, &wg)
-			out = spread
+			sink.out = spread
 		}
-		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
-		// the producing stage's sink; bridge edges always leave a
-		// single-out stage, so a split never re-slabs (its consumers
-		// share one slab and must agree on its shape).
-		var edgeGrain *atomic.Int64
-		if len(outEdges[i]) == 1 {
-			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
-				edgeGrain = &p.edgeGrains[1+ei]
-			}
+		// The stage's whole state is built before its goroutines start,
+		// so the entry stage accepts its first input without first
+		// allocating its sinks and closures.
+		st := p.newStageRun(ctx, i, sink, unordered && sink.results != nil, fail)
+		wg.Add(2)
+		go st.drain(&wg)
+		if in == nil {
+			go st.packInputs(p, inputs, &wg)
+		} else {
+			go st.dispatch(in, &wg)
 		}
-		wg.Add(1)
-		go p.serveStage(ctx, i, in, out, edgeGrain, &wg, fail)
 	}
 
-	results := make(chan any)
-	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() { // unpack batches and deliver items in order
-		defer wg.Done()
-		for b := range final {
-			for _, v := range b.items {
-				select {
-				case results <- v:
-				case <-ctx.Done():
-					releaseBatch(b)
-					return
-				}
-			}
-			releaseBatch(b)
-		}
-	}()
 	go func() {
 		wg.Wait()
 		if firstErr == nil && ctx.Err() != nil {
@@ -352,20 +363,28 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 // taskSink is the reorder ring between a stage's executor tasks and
 // its drainer: completed tasks put their output batch (nil for a
 // failed task's tombstone) into the ring without ever blocking
-// (executor workers must stay runnable — see serveStage), and the
+// (executor workers must stay runnable — see stageRun), and the
 // stage's drainer goroutine pulls them in index order via next,
-// blocking there instead. notify is a buffered(1) edge trigger: a put
-// that finds it full loses nothing, because the drainer re-scans the
-// ring before sleeping.
+// blocking there instead. Under arrival (the unordered exit stage)
+// each put is keyed by completion order instead of batch index, so the
+// same ring hands batches on as they finish. notify is a buffered(1)
+// edge trigger: a put that finds it full loses nothing, because the
+// drainer re-scans the ring before sleeping.
 type taskSink struct {
 	mu      sync.Mutex
 	pending ring.Reorder[*batch]
-	closed  bool
+	arrival bool
+	arrived int // next completion-order key (under arrival)
+	total   int // batches submitted; -1 until the stage's input ends
 	notify  chan struct{}
 }
 
 func (s *taskSink) put(idx int, b *batch) {
 	s.mu.Lock()
+	if s.arrival {
+		idx = s.arrived
+		s.arrived++
+	}
 	s.pending.Put(idx, b)
 	s.mu.Unlock()
 	select {
@@ -374,11 +393,11 @@ func (s *taskSink) put(idx int, b *batch) {
 	}
 }
 
-// close marks the stream complete; next returns false once the ring is
-// empty. Call only after every outstanding put has happened.
-func (s *taskSink) close() {
+// close marks the stream complete after total batches; next returns
+// false once all of them have been taken.
+func (s *taskSink) close(total int) {
 	s.mu.Lock()
-	s.closed = true
+	s.total = total
 	s.mu.Unlock()
 	select {
 	case s.notify <- struct{}{}:
@@ -386,8 +405,8 @@ func (s *taskSink) close() {
 	}
 }
 
-// next blocks until the next in-order batch is available (or the sink
-// is closed and drained).
+// next blocks until the next batch is available (or the sink is closed
+// and drained).
 func (s *taskSink) next() (*batch, bool) {
 	for {
 		s.mu.Lock()
@@ -395,9 +414,9 @@ func (s *taskSink) next() (*batch, bool) {
 			s.mu.Unlock()
 			return b, true
 		}
-		closed := s.closed
+		done := s.pending.Next() == s.total
 		s.mu.Unlock()
-		if closed {
+		if done {
 			return nil, false
 		}
 		<-s.notify

@@ -30,6 +30,11 @@ import (
 	"gridpipe/internal/model"
 )
 
+// exhaustiveLimit caps the candidate count an exhaustive search will
+// walk: np^ns grows fast, and a space past it is refused up front
+// rather than searched for minutes.
+const exhaustiveLimit = 1 << 20
+
 // bbState is the per-search context of the branch-and-bound walk,
 // embedded in Scratch so the recursion allocates nothing.
 type bbState struct {
@@ -63,7 +68,7 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 		return model.Mapping{}, model.Prediction{}, err
 	}
 	// Refuse obviously explosive spaces before enumerating.
-	if float64(ns)*math.Log(float64(len(ids))) > math.Log(model.EnumerationLimit) {
+	if float64(ns)*math.Log(float64(len(ids))) > math.Log(exhaustiveLimit) {
 		return model.Mapping{}, model.Prediction{}, fmt.Errorf(
 			"sched: exhaustive search over %d^%d mappings is infeasible", len(ids), ns)
 	}
@@ -124,7 +129,7 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 	if s.Counters != nil {
 		total := uint64(1)
 		for i := 0; i < ns; i++ {
-			total *= uint64(len(ids)) // guarded ≤ EnumerationLimit above
+			total *= uint64(len(ids)) // guarded ≤ exhaustiveLimit above
 		}
 		s.Counters.Candidates += total
 		s.Counters.Evaluated += bb.evaluated

@@ -3,8 +3,8 @@ package sched
 // Equivalence property: the branch-and-bound Exhaustive search —
 // through a caller-held scratch (SearchWith) and through the pooled
 // classic API (SearchAvail) — must return EXACTLY the candidate that
-// materializing the space with model.EnumerateOver and rating it with
-// model.Best selects: same mapping, bit-identical prediction. Pruning
+// materializing the space (every model.VisitMappings candidate, cloned
+// into a slice) and rating it with model.Best selects: same mapping, bit-identical prediction. Pruning
 // is a work optimisation, never a result change; this test is the
 // fence that keeps it that way, across randomized grids × specs ×
 // load vectors × availability masks, chain and DAG topologies.
@@ -106,7 +106,11 @@ func refSearch(g *grid.Grid, spec model.PipelineSpec, loads []float64, avail []b
 			ids = append(ids, grid.NodeID(n))
 		}
 	}
-	mappings, err := model.EnumerateOver(spec.NumStages(), ids)
+	var mappings []model.Mapping
+	err := model.VisitMappings(spec.NumStages(), ids, func(m model.Mapping) bool {
+		mappings = append(mappings, m.Clone())
+		return true
+	})
 	if err != nil {
 		return model.Mapping{}, model.Prediction{}, err
 	}
