@@ -80,7 +80,6 @@ func benchMicro(b *testing.B, name string) {
 func BenchmarkEngineScheduleStep(b *testing.B)   { benchMicro(b, "engine/schedule_step") }
 func BenchmarkEngineSeedCalendar(b *testing.B)   { benchMicro(b, "engine/seed_calendar") }
 func BenchmarkEngineScheduleCancel(b *testing.B) { benchMicro(b, "engine/schedule_cancel") }
-func BenchmarkPartitionWindow(b *testing.B)      { benchMicro(b, "engine/partition_window") }
 func BenchmarkReorderStage(b *testing.B)         { benchMicro(b, "pipeline/reorder_stage") }
 func BenchmarkBatchBoundary(b *testing.B)        { benchMicro(b, "pipeline/batch_boundary") }
 func BenchmarkSeedReorderStage(b *testing.B)     { benchMicro(b, "pipeline/seed_reorder_stage") }

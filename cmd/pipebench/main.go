@@ -85,7 +85,6 @@ func main() {
 		diffPath = flag.String("diff", "", "with -bench: compare against this BENCH_*.json snapshot and fail on regression")
 		maxRegr  = flag.Float64("maxregress", 0.20, "with -diff: maximum tolerated ns/op regression ratio")
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size for -all (1 = sequential)")
-		parts    = flag.String("parts", "", "with -bench: partition count for the parallel scaling sweep (0 = auto from NumCPU; unset = full sweep)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 
@@ -150,15 +149,6 @@ func main() {
 			os.Exit(1)
 		}
 	case *benchRun || *stressRun:
-		partsList, err := parseParts(*parts)
-		if err != nil {
-			// An invalid -parts is most often a typo: show the menu of
-			// valid counts rather than an opaque failure.
-			fmt.Fprintf(os.Stderr, "pipebench: %v\n", err)
-			fmt.Fprintf(os.Stderr, "valid -parts values: %s (0 auto-picks from NumCPU, unset runs the full sweep)\n",
-				partsMenu())
-			os.Exit(1)
-		}
 		var stressCfg *bench.StressConfig
 		if *stressRun {
 			stressCfg = &bench.StressConfig{
@@ -189,7 +179,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pipebench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := runBench(*benchOut, *maxAlloc, *diffPath, *maxRegr, partsList, *benchRun, stressCfg, grains, *grainItems); err != nil {
+		if err := runBench(*benchOut, *maxAlloc, *diffPath, *maxRegr, *benchRun, stressCfg, grains, *grainItems); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench: bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -257,10 +247,6 @@ type benchReport struct {
 	// would rate vs candidates the model actually evaluated. Absent
 	// from snapshots predating the pruned search.
 	Sched *bench.SchedSearchStats `json:"sched,omitempty"`
-	// Parallel holds the partitioned-engine scaling sweep (events/s per
-	// partition/GOMAXPROCS point). Absent from snapshots predating the
-	// parallel core; bench-diff treats it as informational either way.
-	Parallel []bench.ParallelPoint `json:"parallel,omitempty"`
 	// Stress holds the RPS stress ramp (offered vs achieved items/s
 	// per step plus the detected knee). Absent from snapshots
 	// predating the traffic engine, and from plain -bench runs;
@@ -414,52 +400,11 @@ func loadTrace(path, app string, items int) (workload.Trace, error) {
 	return workload.ReadTrace(f)
 }
 
-// parseParts resolves the -parts flag into the scaling sweep's
-// partition list: unset runs the full default sweep, 0 auto-picks the
-// largest valid count the machine's CPUs can exercise (and prints the
-// choice), and an explicit count must be one of the valid values.
-func parseParts(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return bench.DefaultParallelParts(), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return nil, fmt.Errorf("invalid -parts %q: not an integer", s)
-	}
-	valid := bench.DefaultParallelParts()
-	if n == 0 {
-		pick := 1
-		for _, v := range valid {
-			if v <= runtime.NumCPU() {
-				pick = v
-			}
-		}
-		fmt.Printf("-parts 0: auto-picked %d partitions (NumCPU=%d)\n", pick, runtime.NumCPU())
-		return []int{pick}, nil
-	}
-	for _, v := range valid {
-		if n == v {
-			return []int{n}, nil
-		}
-	}
-	return nil, fmt.Errorf("invalid -parts %d", n)
-}
-
-// partsMenu renders the valid -parts values for the error menu.
-func partsMenu() string {
-	var vals []string
-	for _, v := range bench.DefaultParallelParts() {
-		vals = append(vals, strconv.Itoa(v))
-	}
-	return strings.Join(vals, " ")
-}
-
-// runBench executes the micro suite and the parallel scaling sweep
-// (micro true), the stress ramp (stress non-nil), or both, writes the
-// JSON report, and applies the allocation gate (maxAlloc < 0 disables
-// it) and the snapshot-regression gate (diffPath empty disables it).
-func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, partsList []int, micro bool, stress *bench.StressConfig, grains []int, grainItems int) error {
+// runBench executes the micro suite (micro true), the stress ramp
+// (stress non-nil), or both, writes the JSON report, and applies the
+// allocation gate (maxAlloc < 0 disables it) and the
+// snapshot-regression gate (diffPath empty disables it).
+func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, micro bool, stress *bench.StressConfig, grains []int, grainItems int) error {
 	rep := benchReport{
 		Bench:        strings.TrimSuffix(filepath.Base(out), ".json"),
 		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
@@ -484,16 +429,6 @@ func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, par
 		rep.Sched = &sched
 		fmt.Printf("sched pruning (%s): %d candidates, %d evaluated, %.0fx\n",
 			sched.Config, sched.Candidates, sched.Evaluated, sched.PruneRatio)
-		fmt.Println("running the partitioned-engine scaling sweep (10k nodes, 16 tenants)...")
-		par, err := bench.ParallelScaling(42, partsList, nil)
-		if err != nil {
-			return err
-		}
-		rep.Parallel = par
-		for _, p := range par {
-			fmt.Printf("parallel parts=%-3d procs=%-3d %10d events %12.0f events/s %6.2fx vs 1\n",
-				p.Parts, p.Procs, p.Events, p.EventsPerSec, p.SpeedupVs1)
-		}
 		sec := &batchSection{}
 		for _, m := range rep.Micro {
 			switch m.Name {
@@ -642,12 +577,6 @@ func diffBench(fresh []bench.MicroResult, diffPath string, maxRegress float64) e
 	if base.GoMaxProcs != 0 && base.GoMaxProcs != runtime.GOMAXPROCS(0) {
 		fmt.Printf("  warning: baseline ran at GOMAXPROCS=%d, this run is at %d — ns/op deltas may reflect the scheduler width, not the code\n",
 			base.GoMaxProcs, runtime.GOMAXPROCS(0))
-	}
-	if len(base.Parallel) == 0 {
-		// Snapshots predating the parallel core have no sweep section;
-		// the sweep is informational either way (wall-clock scaling
-		// depends on the runner's core count, not on the code alone).
-		fmt.Println("  parallel sweep: no baseline section (older snapshot); informational only")
 	}
 	seen := map[string]bool{}
 	for _, m := range fresh {

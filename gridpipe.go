@@ -576,7 +576,9 @@ type LiveAdaptiveReport struct {
 	// Ticks, Searches, and Resizes count decision rounds, planning
 	// rounds, and actual reconfigurations.
 	Ticks, Searches, Resizes int
-	Events                   []LiveAdaptationEvent
+	// Events lists the most recent resizes, oldest first; the log is
+	// bounded, Resizes counts them all.
+	Events []LiveAdaptationEvent
 	// Replicas is the current per-stage worker vector (flattened
 	// declaration order).
 	Replicas []int

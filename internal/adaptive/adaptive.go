@@ -259,15 +259,23 @@ type Event struct {
 	Fault bool
 }
 
+// maxEvents bounds the event log a controller keeps: a long-lived
+// adaptive pipeline remaps without end, and Stats copies the log on
+// every poll.
+const maxEvents = 256
+
 // Stats summarises a controller's activity.
 type Stats struct {
 	Ticks    int
 	Searches int
-	Remaps   int
+	// Remaps counts every reconfiguration, including those that have
+	// aged out of Events.
+	Remaps int
 	// FaultRemaps counts remaps forced by resource failures, a subset
 	// of Remaps.
 	FaultRemaps int
-	Events      []Event
+	// Events holds the newest remaps (at most maxEvents), oldest first.
+	Events []Event
 }
 
 // Controller drives adaptation of one substrate. Build with New; the
@@ -397,6 +405,9 @@ func (c *Controller) searchAndActuate(now float64, loads []float64, oldPred floa
 	c.stats.Remaps++
 	if fault {
 		c.stats.FaultRemaps++
+	}
+	if len(c.stats.Events) == maxEvents {
+		c.stats.Events = append(c.stats.Events[:0], c.stats.Events[1:]...)
 	}
 	c.stats.Events = append(c.stats.Events, Event{
 		Time:         now,

@@ -288,3 +288,47 @@ func TestPolicyStringRoundTripsThroughFmt(t *testing.T) {
 		t.Fatalf("fmt rendering = %q", got)
 	}
 }
+
+func TestEventLogKeepsNewest(t *testing.T) {
+	s := newStub()
+	c := mustNew(t, s, Config{Policy: PolicyPeriodic, Interval: 1})
+	c.Start()
+	const remaps = maxEvents + 40
+	for i := 1; i <= remaps; i++ {
+		s.fire(float64(i))
+	}
+	st := c.Stats()
+	if st.Remaps != remaps {
+		t.Fatalf("Remaps = %d, want every remap counted (%d)", st.Remaps, remaps)
+	}
+	if len(st.Events) != maxEvents {
+		t.Fatalf("kept %d events, want %d", len(st.Events), maxEvents)
+	}
+	for i, ev := range st.Events {
+		if want := float64(remaps - maxEvents + 1 + i); ev.Time != want {
+			t.Fatalf("event %d at t=%v, want %v (newest remaps, oldest first)", i, ev.Time, want)
+		}
+	}
+	if last := st.Events[maxEvents-1]; last.Time != remaps {
+		t.Fatalf("last event at t=%v, want the last remap at t=%d", last.Time, remaps)
+	}
+}
+
+func TestCooldownSeesNewestEventAtCap(t *testing.T) {
+	s := newStub()
+	c := mustNew(t, s, Config{Policy: PolicyPeriodic, Interval: 1, Cooldown: 5})
+	c.Start()
+	for i := 0; i < maxEvents; i++ {
+		s.fire(float64(10 * i)) // every tick clears the cooldown
+	}
+	last := float64(10 * (maxEvents - 1))
+	s.fire(last + 2) // inside the cooldown of the newest remap
+	s.fire(last + 6) // cooldown expired
+	st := c.Stats()
+	if st.Remaps != maxEvents+1 || st.Searches != maxEvents+1 {
+		t.Fatalf("stats at cap: remaps %d searches %d, want %d each", st.Remaps, st.Searches, maxEvents+1)
+	}
+	if got := st.Events[maxEvents-1].Time; got != last+6 {
+		t.Fatalf("newest event at t=%v, want %v", got, last+6)
+	}
+}

@@ -55,11 +55,6 @@ func Micros() []Micro {
 			Run:  benchEngineScheduleCancel,
 		},
 		{
-			Name: "engine/partition_window",
-			Desc: "partitioned calendar: 64 events over 4 partitions per op, inline conservative windows + outbox exchange",
-			Run:  benchPartitionWindow,
-		},
-		{
 			Name: "pipeline/reorder_stage",
 			Desc: "live replicated-stage boundary: persistent workers + ring reorderer, per item",
 			Run:  benchPipelineReorderStage,

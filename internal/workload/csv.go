@@ -210,6 +210,11 @@ func csvWide(cr *csv.Reader, header []string, opts CSVTraceOptions) (Trace, erro
 			if err != nil || k < 0 {
 				return nil, fmt.Errorf("workload: csv trace: line %d: bad count %q in bucket %d", line, cell, b.index)
 			}
+			// Check the cap before expanding the cell: one cell can
+			// hold billions of invocations.
+			if k > opts.MaxEvents-len(tr) {
+				return nil, fmt.Errorf("workload: csv trace: more than %d events (raise CSVTraceOptions.MaxEvents)", opts.MaxEvents)
+			}
 			start := float64(b.index-1) * w
 			gap := w / float64(k+1)
 			for j := 0; j < k; j++ {
@@ -218,9 +223,6 @@ func csvWide(cr *csv.Reader, header []string, opts CSVTraceOptions) (Trace, erro
 					App:   opts.App,
 					Items: opts.Items,
 				})
-			}
-			if len(tr) > opts.MaxEvents {
-				return nil, fmt.Errorf("workload: csv trace: more than %d events (raise CSVTraceOptions.MaxEvents)", opts.MaxEvents)
 			}
 		}
 	}

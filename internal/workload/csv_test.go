@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -129,6 +130,19 @@ func TestTraceFromCSVErrors(t *testing.T) {
 		if _, err := TraceFromCSV(strings.NewReader(tc.in), tc.opts); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+
+	// A cell far above the cap is rejected before it is expanded: the
+	// import must not allocate the cell's arrivals first.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := TraceFromCSV(strings.NewReader("f,1,2\nx,3,1000000\n"), CSVTraceOptions{MaxEvents: 10})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("huge bucket cell: expected error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("huge bucket cell: import allocated %d bytes before failing, want the cap checked first", grew)
 	}
 }
 
