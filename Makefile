@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test bench-smoke bench bench-json bench-diff alloc-gate stress-smoke grain-smoke race
+.PHONY: check build vet test bench-smoke bench bench-ab alloc-gate stress-smoke grain-smoke race
 
 check: build vet test bench-smoke
 
@@ -25,33 +25,24 @@ bench-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Regenerate the machine-readable perf snapshot (see DESIGN.md,
-# "Benchmark protocol"; bump the file number to your PR number).
-bench-json:
-	$(GO) run ./cmd/pipebench -bench -stress -benchout BENCH_10.json
-
-# Perf-regression gate: run a fresh snapshot and diff it against the
-# latest committed BENCH_<n>.json — fail on >MAXREGRESS ns/op
-# regression or any allocs/op increase on a hot path (the CI
-# bench-diff job). The 20% default assumes the same machine class as
-# the snapshot; CI overrides it (cross-hardware ns/op skew), keeping
-# the alloc half of the gate exact everywhere.
-MAXREGRESS ?= 0.20
-bench-diff:
-	$(GO) run ./cmd/pipebench -bench -benchout /tmp/bench_fresh.json \
-		-diff "$$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)" -maxregress $(MAXREGRESS)
+# Cross-commit comparison on the benchmark BENCHMARK.json declares:
+# interleaved gridbench/run.sh pairs of REF against this checkout,
+# every workload, with medians, spreads and verdicts against each
+# end-to-end metric's bound (see DESIGN.md, "Benchmark protocol").
+bench-ab:
+	@test -n "$(REF)" || { echo "usage: make bench-ab REF=<rev>" >&2; exit 2; }
+	$(GO) run ./cmd/benchab -ref "$(REF)"
 
 # Allocation-regression gate (the CI alloc-gate job): fail if any
 # hot-path micro-benchmark allocates per item. The report goes to /tmp
-# so the gate never overwrites the committed snapshot bench-diff uses
-# as its baseline.
+# for the CI artifact.
 alloc-gate:
 	$(GO) run ./cmd/pipebench -bench -benchout /tmp/alloc_gate.json -maxallocs 0
 
 # A short RPS-ramp smoke (the CI stress-smoke step): a small grid and
 # coarse ramp, just enough to exercise trace generation → SubmitTrace
-# → knee detection end to end. The full-resolution ramp ships in the
-# committed BENCH_<n>.json via bench-json.
+# → knee detection end to end. Drop the -stress-* overrides for the
+# full-resolution ramp.
 stress-smoke:
 	$(GO) run ./cmd/pipebench -stress -stress-nodes 4 -stress-items 10 \
 		-stress-start 2 -stress-step 3 -stress-steps 4 -stress-horizon 60 \
@@ -60,8 +51,7 @@ stress-smoke:
 # A short grain-sweep smoke (the CI grain-smoke step): two ladder
 # points with a reduced item count, just enough to exercise the
 # batched boundary's throughput and paced-p99 measurement end to end.
-# The full ladder ships in the committed BENCH_<n>.json `batch`
-# section via bench-json.
+# Drop the -grain overrides for the full ladder.
 grain-smoke:
 	$(GO) run ./cmd/pipebench -grainsweep -grain 1,8 -grain-items 10000
 

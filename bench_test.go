@@ -64,8 +64,8 @@ func BenchmarkA3Hysteresis(b *testing.B)         { benchExperiment(b, "A3") }
 // --- hot-path micro-benchmarks ------------------------------------------
 
 // The canonical hot-path micro-benchmarks live in internal/bench
-// (Micros) so cmd/pipebench can run the same suite and emit
-// BENCH_*.json; these wrappers expose each one to `go test -bench`.
+// (Micros) so cmd/pipebench can run the same suite under its
+// allocation gate; these wrappers expose each one to `go test -bench`.
 // Run with -benchmem: the allocs/op columns are the numbers the
 // acceptance gates track (see DESIGN.md, "Benchmark protocol").
 
@@ -78,11 +78,9 @@ func benchMicro(b *testing.B, name string) {
 }
 
 func BenchmarkEngineScheduleStep(b *testing.B)   { benchMicro(b, "engine/schedule_step") }
-func BenchmarkEngineSeedCalendar(b *testing.B)   { benchMicro(b, "engine/seed_calendar") }
 func BenchmarkEngineScheduleCancel(b *testing.B) { benchMicro(b, "engine/schedule_cancel") }
 func BenchmarkReorderStage(b *testing.B)         { benchMicro(b, "pipeline/reorder_stage") }
 func BenchmarkBatchBoundary(b *testing.B)        { benchMicro(b, "pipeline/batch_boundary") }
-func BenchmarkSeedReorderStage(b *testing.B)     { benchMicro(b, "pipeline/seed_reorder_stage") }
 func BenchmarkFarmUnordered(b *testing.B)        { benchMicro(b, "farm/unordered") }
 func BenchmarkExecRunItems(b *testing.B)         { benchMicro(b, "exec/run_items") }
 func BenchmarkStealLocalPop(b *testing.B)        { benchMicro(b, "steal/local_pop") }

@@ -1,14 +1,13 @@
 // Command pipebench regenerates the tables and figures of the
 // reconstructed evaluation suite (see DESIGN.md's experiment index)
-// and tracks the hot-path performance trajectory.
+// and runs the hot-path micro-benchmarks under an allocation gate.
 //
 // Usage:
 //
 //	pipebench -list
 //	pipebench -exp F1 [-seed 42] [-csv] [-json]
 //	pipebench -all [-seed 42] [-workers N] [-json]
-//	pipebench -bench [-benchout BENCH_1.json] [-maxallocs 0]
-//	pipebench -bench -diff BENCH_4.json [-maxregress 0.20]
+//	pipebench -bench [-maxallocs 0] [-benchout report.json]
 //	pipebench -bench -cpuprofile cpu.pprof -memprofile mem.pprof
 //	pipebench -stress [-stress-process poisson] [-stress-steps 8]
 //	pipebench -stress -stress-trace invocations.csv
@@ -22,31 +21,28 @@
 //
 // Each experiment prints its tables; -csv additionally dumps every
 // figure series as CSV for offline plotting. -bench runs the hot-path
-// micro-benchmark suite (internal/bench.Micros) and writes a
-// machine-readable BENCH_*.json — ns/op, B/op, allocs/op, items/s per
-// benchmark, plus the recorded seed baseline the current numbers are
-// gated against (format documented in DESIGN.md). -maxallocs N turns
-// the run into a gate: it exits non-zero if any hot-path benchmark
-// reports more than N allocs/op (the in-tree seed-reference rows,
-// which reproduce the seed's allocating designs on purpose, are
-// exempt) — the CI allocation-regression job runs -maxallocs 0.
-// -cpuprofile/-memprofile write pprof profiles of whatever mode ran
-// (bench or experiments), the inputs of the benchmark protocol's
-// "profile before optimising" step (DESIGN.md).
+// micro-benchmark suite (internal/bench.Micros) once each and prints
+// ns/op, B/op, allocs/op and items/s per benchmark. -maxallocs N turns
+// the run into a gate: it exits non-zero if any micro-benchmark reports
+// more than N allocs/op — the CI allocation-regression job runs
+// -maxallocs 0. Allocation counts are exact on any machine; timing
+// comparisons between commits go through gridbench instead (make
+// bench-ab, DESIGN.md "Benchmark protocol"). -benchout writes the rows
+// (and the stress ramp, if run) as one JSON report; without it nothing
+// is written. -cpuprofile/-memprofile write pprof profiles of whatever
+// mode ran (bench or experiments).
 //
-// -bench also embeds a `batch` section: the batched boundary micro
-// against its unbatched and seed counterparts plus a grain sweep
+// -grainsweep measures the batched boundary over a grain ladder
 // (saturated items/s and paced p99 sojourn per batch size, ladder set
-// by -grain). -grainsweep runs the sweep standalone.
+// by -grain) and the per-edge grain lattice, and prints both tables.
 //
 // -stress runs the RPS stress ramp (see DESIGN.md, "Traffic engine"):
 // offered load walks upward in steps, each step drives an open-loop
 // job stream through a fresh admission-controlled cluster, and the
-// detected throughput knee lands in the report's `stress` section.
-// It combines with -bench (one BENCH_*.json carrying both sections)
-// or runs alone (a stress-only report). -stress-trace replays a
-// recorded arrival trace instead of generating streams: a .csv file
-// goes through workload.TraceFromCSV (long t/app/items rows or wide
+// table marks the detected throughput knee. It combines with -bench
+// or runs alone. -stress-trace replays a recorded arrival trace
+// instead of generating streams: a .csv file goes through
+// workload.TraceFromCSV (long t/app/items rows or wide
 // invitro/Azure-style per-bucket invocation counts, auto-detected),
 // anything else through workload.ReadTrace; each ramp step rescales
 // the recorded arrival times so the offered load matches while the
@@ -80,16 +76,14 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print experiment results as JSON (one document per experiment)")
 		outdir   = flag.String("outdir", "", "write every table and series as CSV files into this directory")
 		benchRun = flag.Bool("bench", false, "run the hot-path micro-benchmark suite")
-		benchOut = flag.String("benchout", "BENCH_1.json", "file the -bench results are written to")
+		benchOut = flag.String("benchout", "", "write the -bench/-stress results to this JSON file (empty = write nothing)")
 		maxAlloc = flag.Int("maxallocs", -1, "with -bench: fail if any hot-path benchmark exceeds this allocs/op (-1 = no gate)")
-		diffPath = flag.String("diff", "", "with -bench: compare against this BENCH_*.json snapshot and fail on regression")
-		maxRegr  = flag.Float64("maxregress", 0.20, "with -diff: maximum tolerated ns/op regression ratio")
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size for -all (1 = sequential)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 
 		grainSweep = flag.Bool("grainsweep", false, "run the batch-grain sweep standalone (throughput + p99 latency vs grain)")
-		grainList  = flag.String("grain", "1,2,4,8,16,32,64,128,256", "grain ladder for the batch sweep (comma-separated; empty skips the sweep in -bench)")
+		grainList  = flag.String("grain", "1,2,4,8,16,32,64,128,256", "grain ladder for -grainsweep (comma-separated)")
 		grainItems = flag.Int("grain-items", 200000, "items per grain-sweep throughput measurement")
 
 		stressRun     = flag.Bool("stress", false, "run the RPS stress ramp (alone or combined with -bench)")
@@ -140,7 +134,7 @@ func main() {
 		listExperiments(os.Stdout)
 	case *grainSweep:
 		grains, err := parseGrains(*grainList)
-		if err != nil || len(grains) == 0 {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench: -grainsweep needs a grain ladder (-grain \"1,8,64\"): %v\n", err)
 			os.Exit(1)
 		}
@@ -174,12 +168,7 @@ func main() {
 					float64(tr.TotalItems())/tr.Span())
 			}
 		}
-		grains, err := parseGrains(*grainList)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipebench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := runBench(*benchOut, *maxAlloc, *diffPath, *maxRegr, *benchRun, stressCfg, grains, *grainItems); err != nil {
+		if err := runBench(*benchOut, *maxAlloc, *benchRun, stressCfg); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench: bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -227,110 +216,23 @@ func listExperiments(w io.Writer) {
 	}
 }
 
-// benchReport is the schema of a BENCH_*.json file (see DESIGN.md,
-// "Benchmark protocol").
+// benchReport is the schema of a -benchout file.
 type benchReport struct {
-	Bench       string `json:"bench"`
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	CPUs        int    `json:"cpus"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	CPUs      int    `json:"cpus"`
 	// GoMaxProcs records the scheduler width the numbers were taken
-	// under; bench-diff warns (informationally) when it or CPUs differ
-	// from the baseline's, since wall-clock ratios across machine shapes
-	// reflect the machine, not the code.
+	// under.
 	GoMaxProcs int                 `json:"gomaxprocs,omitempty"`
-	Micro      []bench.MicroResult `json:"micro"`
-	// Sched records the branch-and-bound pruning telemetry on the T4
-	// validation configuration: candidates an unpruned enumeration
-	// would rate vs candidates the model actually evaluated. Absent
-	// from snapshots predating the pruned search.
-	Sched *bench.SchedSearchStats `json:"sched,omitempty"`
+	Micro      []bench.MicroResult `json:"micro,omitempty"`
 	// Stress holds the RPS stress ramp (offered vs achieved items/s
-	// per step plus the detected knee). Absent from snapshots
-	// predating the traffic engine, and from plain -bench runs;
-	// bench-diff treats it as informational (the ramp is a
-	// virtual-time capacity measurement, not a wall-clock hot path).
+	// per step plus the detected knee), when -stress ran.
 	Stress *bench.StressResult `json:"stress,omitempty"`
-	// Batch holds the granularity section: the batched-boundary micro
-	// against its unbatched and seed counterparts, plus the grain
-	// sweep (saturated items/s and paced p99 sojourn per batch size).
-	// Absent from snapshots predating batched boundaries; bench-diff
-	// treats it as informational (the micro rows are gated as usual).
-	Batch *batchSection `json:"batch,omitempty"`
-	// Steal holds the work-stealing executor section: the deque and
-	// inject micro numbers plus a live handoff profile (how tasks
-	// reached workers, per item). Absent from snapshots predating the
-	// shared executor; bench-diff gates the micro rows as usual.
-	Steal *stealSection `json:"steal,omitempty"`
-	// EdgeGrains holds the per-edge granularity sweep: live throughput
-	// over boundary grain vectors plus the vector the model's
-	// coordinate-descent search picks on an asymmetric spec. Absent
-	// from snapshots predating per-edge grains; informational for
-	// bench-diff.
-	EdgeGrains *bench.EdgeGrainResult `json:"edge_grains,omitempty"`
-	// SeedBaseline records the seed commit's (e363cbf) hot-path
-	// numbers, measured with the pre-rewrite benchmarks on the same
-	// class of machine, so every BENCH file carries the comparison
-	// point its allocation-reduction gates refer to.
-	SeedBaseline []bench.MicroResult `json:"seed_baseline"`
 }
 
-// seedBaseline: measured at the seed commit with
-// `go test -bench 'DiscreteEventEngine|LivePipeline|SimExecutor' -benchmem`.
-// The engine row is per 64-event batch (seed: one *Event allocation per
-// Schedule) to match engine/schedule_step's unit.
-var seedBaseline = []bench.MicroResult{
-	{Name: "engine/schedule_step", Desc: "seed container/heap calendar, per 64-event batch", NsPerOp: 64.92 * 64, BytesPerOp: 47 * 64, AllocsPerOp: 64},
-	{Name: "pipeline/reorder_stage", Desc: "seed goroutine-per-item + map reorderer, per item", NsPerOp: 5524, BytesPerOp: 440, AllocsPerOp: 6},
-	{Name: "exec/run_items", Desc: "seed executor, per simulated item", NsPerOp: 2663, BytesPerOp: 1456, AllocsPerOp: 37},
-}
-
-// batchSection is the `batch` block of a BENCH_*.json report: the
-// acceptance comparison (batched boundary vs the unbatched and seed
-// micros, items/s) and the grain sweep behind it.
-type batchSection struct {
-	// BoundaryItemsPerSec / UnbatchedItemsPerSec / SeedItemsPerSec are
-	// the items/s of pipeline/batch_boundary, pipeline/reorder_stage,
-	// and pipeline/seed_reorder_stage from this run's micro rows.
-	BoundaryItemsPerSec  float64 `json:"boundary_items_per_s"`
-	UnbatchedItemsPerSec float64 `json:"unbatched_items_per_s"`
-	SeedItemsPerSec      float64 `json:"seed_items_per_s"`
-	// SpeedupVsUnbatched and SpeedupVsSeed are the boundary ratios.
-	SpeedupVsUnbatched float64 `json:"speedup_vs_unbatched"`
-	SpeedupVsSeed      float64 `json:"speedup_vs_seed"`
-	// BoundaryAllocsPerOp restates the batched micro's allocs/op: the
-	// acceptance criterion requires 0 at steady state.
-	BoundaryAllocsPerOp int64 `json:"boundary_allocs_per_op"`
-	// Grains is the sweep: saturated throughput and paced p99 item
-	// sojourn per batch size.
-	Grains []bench.GrainPoint `json:"grains,omitempty"`
-}
-
-// stealSection is the `steal` block of a BENCH_*.json report: the
-// executor's three micro numbers restated (ns per 64-cycle op and
-// allocs/op — the acceptance criterion requires 0) plus the live
-// handoff profile of a pipeline run on a dedicated executor.
-type stealSection struct {
-	LocalPopNsPerOp  float64 `json:"local_pop_ns_per_op"`
-	StealHalfNsPerOp float64 `json:"steal_half_ns_per_op"`
-	InjectNsPerOp    float64 `json:"inject_ns_per_op"`
-	LocalPopAllocs   int64   `json:"local_pop_allocs_per_op"`
-	StealHalfAllocs  int64   `json:"steal_half_allocs_per_op"`
-	InjectAllocs     int64   `json:"inject_allocs_per_op"`
-	// Profile is the handoffs-per-item accounting of a live run (see
-	// DESIGN.md, the handoff post-mortem).
-	Profile *bench.StealProfileResult `json:"profile,omitempty"`
-}
-
-// parseGrains resolves the -grain flag into the sweep's grain ladder;
-// an empty flag means "skip the sweep".
+// parseGrains resolves the -grain flag into the sweep's grain ladder.
 func parseGrains(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -401,19 +303,15 @@ func loadTrace(path, app string, items int) (workload.Trace, error) {
 }
 
 // runBench executes the micro suite (micro true), the stress ramp
-// (stress non-nil), or both, writes the JSON report, and applies the
-// allocation gate (maxAlloc < 0 disables it) and the
-// snapshot-regression gate (diffPath empty disables it).
-func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, micro bool, stress *bench.StressConfig, grains []int, grainItems int) error {
+// (stress non-nil), or both, writes the JSON report when out is set,
+// and applies the allocation gate (maxAlloc < 0 disables it).
+func runBench(out string, maxAlloc int, micro bool, stress *bench.StressConfig) error {
 	rep := benchReport{
-		Bench:        strings.TrimSuffix(filepath.Base(out), ".json"),
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:    runtime.Version(),
-		GOOS:         runtime.GOOS,
-		GOARCH:       runtime.GOARCH,
-		CPUs:         runtime.NumCPU(),
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-		SeedBaseline: seedBaseline,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	if micro {
 		fmt.Printf("running %d hot-path micro-benchmarks...\n", len(bench.Micros()))
@@ -422,87 +320,6 @@ func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, mic
 			fmt.Printf("%-30s %12.1f ns/op %8d B/op %6d allocs/op %14.0f items/s\n",
 				m.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp, m.ItemsPerSec)
 		}
-		sched, err := bench.SchedSearchTelemetry()
-		if err != nil {
-			return err
-		}
-		rep.Sched = &sched
-		fmt.Printf("sched pruning (%s): %d candidates, %d evaluated, %.0fx\n",
-			sched.Config, sched.Candidates, sched.Evaluated, sched.PruneRatio)
-		sec := &batchSection{}
-		for _, m := range rep.Micro {
-			switch m.Name {
-			case "pipeline/batch_boundary":
-				sec.BoundaryItemsPerSec = m.ItemsPerSec
-				sec.BoundaryAllocsPerOp = m.AllocsPerOp
-			case "pipeline/reorder_stage":
-				sec.UnbatchedItemsPerSec = m.ItemsPerSec
-			case "pipeline/seed_reorder_stage":
-				sec.SeedItemsPerSec = m.ItemsPerSec
-			}
-		}
-		if sec.UnbatchedItemsPerSec > 0 {
-			sec.SpeedupVsUnbatched = sec.BoundaryItemsPerSec / sec.UnbatchedItemsPerSec
-		}
-		if sec.SeedItemsPerSec > 0 {
-			sec.SpeedupVsSeed = sec.BoundaryItemsPerSec / sec.SeedItemsPerSec
-		}
-		if len(grains) > 0 {
-			fmt.Println("running the batch-grain sweep...")
-			points, err := bench.GrainSweep(bench.GrainSweepConfig{Grains: grains, Items: grainItems})
-			if err != nil {
-				return err
-			}
-			sec.Grains = points
-			for _, p := range points {
-				fmt.Printf("grain %-4d %12.0f items/s  p99 %s\n", p.Grain, p.ItemsPerSec,
-					time.Duration(int64(p.P99LatencyNs)).Round(time.Microsecond))
-			}
-		}
-		rep.Batch = sec
-		fmt.Printf("batch boundary: %.0f items/s, %.2fx vs unbatched, %.2fx vs seed, %d allocs/op\n",
-			sec.BoundaryItemsPerSec, sec.SpeedupVsUnbatched, sec.SpeedupVsSeed, sec.BoundaryAllocsPerOp)
-
-		st := &stealSection{}
-		for _, m := range rep.Micro {
-			switch m.Name {
-			case "steal/local_pop":
-				st.LocalPopNsPerOp = m.NsPerOp
-				st.LocalPopAllocs = m.AllocsPerOp
-			case "steal/steal_half":
-				st.StealHalfNsPerOp = m.NsPerOp
-				st.StealHalfAllocs = m.AllocsPerOp
-			case "steal/inject":
-				st.InjectNsPerOp = m.NsPerOp
-				st.InjectAllocs = m.AllocsPerOp
-			}
-		}
-		fmt.Println("profiling executor handoffs on a live pipeline run...")
-		profile, err := bench.StealProfile(grainItems)
-		if err != nil {
-			return err
-		}
-		st.Profile = profile
-		rep.Steal = st
-		fmt.Printf("steal handoffs per item: %.3f injects, %.3f pops, %.3f grabbed, %.3f steals, %.3f parks\n",
-			profile.InjectsPerItem, profile.PopsPerItem, profile.GrabbedPerItem,
-			profile.StealsPerItem, profile.ParksPerItem)
-
-		fmt.Println("running the per-edge grain sweep...")
-		eg, err := bench.EdgeGrainSweep(bench.EdgeGrainSweepConfig{Items: grainItems})
-		if err != nil {
-			return err
-		}
-		rep.EdgeGrains = eg
-		for _, p := range eg.Points {
-			mark := " "
-			if p.Chosen {
-				mark = "*"
-			}
-			fmt.Printf("edge grains [%s]%s %12.0f items/s\n", grainVec(p.Grains), mark, p.ItemsPerSec)
-		}
-		fmt.Printf("per-edge search chose [%s] (model predicts %.1f items/s on the asymmetric spec)\n",
-			grainVec(eg.Chosen), eg.PredictedItemsPerSec)
 	}
 	if stress != nil {
 		fmt.Println("running the RPS stress ramp...")
@@ -513,22 +330,19 @@ func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, mic
 		rep.Stress = sres
 		fmt.Print(bench.StressTable(sres).String())
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+	if out != "" {
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", out)
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	if maxAlloc >= 0 {
 		var over []string
 		for _, m := range rep.Micro {
-			// The seed-reference rows reproduce the seed's allocating
-			// designs on purpose; the gate covers the current hot paths.
-			if strings.Contains(m.Name, "seed") {
-				continue
-			}
 			if m.AllocsPerOp > int64(maxAlloc) {
 				over = append(over, fmt.Sprintf("%s (%d allocs/op)", m.Name, m.AllocsPerOp))
 			}
@@ -538,84 +352,6 @@ func runBench(out string, maxAlloc int, diffPath string, maxRegress float64, mic
 		}
 		fmt.Printf("allocation gate passed: every hot path at ≤ %d allocs/op\n", maxAlloc)
 	}
-	if diffPath != "" {
-		if err := diffBench(rep.Micro, diffPath, maxRegress); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// diffBench compares a fresh micro run against a committed snapshot:
-// any benchmark whose ns/op regressed by more than maxRegress, or
-// whose allocs/op increased at all, fails the gate. Benchmarks present
-// on only one side are reported informationally (a new benchmark is
-// not a regression); seed-reference rows are exempt like everywhere
-// else.
-func diffBench(fresh []bench.MicroResult, diffPath string, maxRegress float64) error {
-	data, err := os.ReadFile(diffPath)
-	if err != nil {
-		return fmt.Errorf("diff baseline: %w", err)
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("diff baseline %s: %w", diffPath, err)
-	}
-	baseline := map[string]bench.MicroResult{}
-	for _, m := range base.Micro {
-		baseline[m.Name] = m
-	}
-	var regressions []string
-	fmt.Printf("diff against %s (bench %s, %s):\n", diffPath, base.Bench, base.GeneratedAt)
-	// Cross-machine comparisons are warnings, never failures: ns/op
-	// ratios taken under a different core count or scheduler width
-	// reflect the machine, not the code.
-	if base.CPUs != 0 && base.CPUs != runtime.NumCPU() {
-		fmt.Printf("  warning: baseline ran on %d CPUs, this machine has %d — ns/op deltas may reflect the machine, not the code\n",
-			base.CPUs, runtime.NumCPU())
-	}
-	if base.GoMaxProcs != 0 && base.GoMaxProcs != runtime.GOMAXPROCS(0) {
-		fmt.Printf("  warning: baseline ran at GOMAXPROCS=%d, this run is at %d — ns/op deltas may reflect the scheduler width, not the code\n",
-			base.GoMaxProcs, runtime.GOMAXPROCS(0))
-	}
-	seen := map[string]bool{}
-	for _, m := range fresh {
-		if strings.Contains(m.Name, "seed") {
-			continue
-		}
-		seen[m.Name] = true
-		b, ok := baseline[m.Name]
-		if !ok {
-			fmt.Printf("  %-30s new benchmark (no baseline)\n", m.Name)
-			continue
-		}
-		ratio := 0.0
-		if b.NsPerOp > 0 {
-			ratio = m.NsPerOp/b.NsPerOp - 1
-		}
-		fmt.Printf("  %-30s ns/op %10.1f -> %10.1f (%+5.1f%%)  allocs %d -> %d\n",
-			m.Name, b.NsPerOp, m.NsPerOp, 100*ratio, b.AllocsPerOp, m.AllocsPerOp)
-		if ratio > maxRegress {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s ns/op regressed %.1f%% (limit %.0f%%)", m.Name, 100*ratio, 100*maxRegress))
-		}
-		if m.AllocsPerOp > b.AllocsPerOp {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s allocs/op grew %d -> %d", m.Name, b.AllocsPerOp, m.AllocsPerOp))
-		}
-	}
-	// The other side of the informational report: baseline benchmarks
-	// the fresh run no longer has (renamed or deleted hot paths).
-	for _, b := range base.Micro {
-		if strings.Contains(b.Name, "seed") || seen[b.Name] {
-			continue
-		}
-		fmt.Printf("  %-30s missing from fresh run (renamed or removed?)\n", b.Name)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("bench-diff gate: %s", strings.Join(regressions, "; "))
-	}
-	fmt.Println("bench-diff gate passed")
 	return nil
 }
 

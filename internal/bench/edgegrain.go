@@ -9,8 +9,7 @@ package bench
 // the stage 0→1 edge pays a heavy per-batch synchronization charge
 // (coarsening amortizes it), so the model should land on a mixed
 // vector — fine head, coarse edge — rather than a uniform grain.
-// pipebench embeds the result in the BENCH_*.json `edge_grains`
-// section.
+// pipebench prints the result with -grainsweep.
 
 import (
 	"context"

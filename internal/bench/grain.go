@@ -6,8 +6,7 @@ package bench
 // trade-off — larger grains amortize per-transfer synchronization
 // (throughput rises towards a plateau) while the head batcher's fill
 // time adds sojourn latency (p99 rises, capped by the linger flush).
-// pipebench embeds the sweep in the BENCH_*.json `batch` section and
-// exposes it standalone via -grainsweep.
+// pipebench prints the sweep with -grainsweep.
 
 import (
 	"context"

@@ -4,13 +4,12 @@ package bench
 // skeleton's replicated-stage boundary (dispatch + reorder), the farm,
 // and an end-to-end simulated run. They exist in the library (not only
 // under _test) so cmd/pipebench can execute them with
-// testing.Benchmark and emit machine-readable BENCH_*.json files; the
-// root bench_test.go wraps each one as a normal `go test -bench`
-// benchmark.
+// testing.Benchmark and gate their allocations; the root bench_test.go
+// wraps each one as a normal `go test -bench` benchmark.
 //
 // Each benchmark reports allocations and an "items/s" metric (events/s
-// for the calendar): the two numbers the perf trajectory tracks from
-// PR 1 onward (see DESIGN.md, "Benchmark protocol").
+// for the calendar); `make alloc-gate` holds every allocation count at
+// 0 (see DESIGN.md, "Benchmark protocol").
 
 import (
 	"context"
@@ -45,11 +44,6 @@ func Micros() []Micro {
 			Run:  benchEngineScheduleStep,
 		},
 		{
-			Name: "engine/seed_calendar",
-			Desc: "reference: the seed's container/heap calendar (one *Event alloc per Schedule)",
-			Run:  benchSeedCalendar,
-		},
-		{
 			Name: "engine/schedule_cancel",
 			Desc: "event calendar: schedule 64, cancel half through handles, drain",
 			Run:  benchEngineScheduleCancel,
@@ -63,11 +57,6 @@ func Micros() []Micro {
 			Name: "pipeline/batch_boundary",
 			Desc: "batched replicated-stage boundary: 64-item pooled slabs through persistent workers + per-batch ring reorderer, per item",
 			Run:  benchPipelineBatchBoundary,
-		},
-		{
-			Name: "pipeline/seed_reorder_stage",
-			Desc: "reference: the seed's stage boundary (goroutine per item + map[int]any reorderer)",
-			Run:  benchSeedReorderStage,
 		},
 		{
 			Name: "farm/unordered",
@@ -123,7 +112,7 @@ func MicroByName(name string) (Micro, error) {
 }
 
 // MicroResult is the machine-readable outcome of one micro-benchmark,
-// the row format of BENCH_*.json.
+// the row format of pipebench's -benchout report.
 type MicroResult struct {
 	Name        string  `json:"name"`
 	Desc        string  `json:"desc"`

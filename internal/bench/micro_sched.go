@@ -18,7 +18,7 @@ import (
 )
 
 // schedBenchConfig builds the T4 validation configuration the search
-// benchmarks and the pruning telemetry share: ns random-work stages
+// and arbitration benchmarks share: ns random-work stages
 // (0.05 + 0.3·U) moving 100 kB items over a 4-node heterogeneous
 // campus grid (speeds 0.5 + 3·U), seed-fixed.
 func schedBenchConfig(seed uint64, ns, np int) (*grid.Grid, model.PipelineSpec, error) {
@@ -111,36 +111,4 @@ func benchClusterArbitrate(b *testing.B) {
 	if st.Searches > len(tenants) {
 		b.Fatalf("steady-state rounds re-searched: %d searches for %d tenants", st.Searches, len(tenants))
 	}
-}
-
-// SchedSearchStats is the BENCH_*.json "sched" section: the pruning
-// telemetry of one branch-and-bound exhaustive search on the T4
-// validation configuration. Candidates is what an unpruned enumeration
-// would rate (the "before"), Evaluated what the bound let through (the
-// "after").
-type SchedSearchStats struct {
-	Config     string  `json:"config"`
-	Candidates uint64  `json:"candidates"`
-	Evaluated  uint64  `json:"evaluated"`
-	PruneRatio float64 `json:"prune_ratio"`
-}
-
-// SchedSearchTelemetry runs one pruned exhaustive search on the T4
-// 8-stage × 4-node configuration and reports its candidate counts.
-func SchedSearchTelemetry() (SchedSearchStats, error) {
-	g, spec, err := schedBenchConfig(42, 8, 4)
-	if err != nil {
-		return SchedSearchStats{}, err
-	}
-	var ctr sched.SearchCounters
-	sc := sched.NewScratch()
-	if _, _, err := sched.SearchWith(sc, sched.Exhaustive{Counters: &ctr}, g, spec, nil, nil); err != nil {
-		return SchedSearchStats{}, err
-	}
-	return SchedSearchStats{
-		Config:     "T4 validation: 8 stages x 4 nodes, heterogeneous campus grid",
-		Candidates: ctr.Candidates,
-		Evaluated:  ctr.Evaluated,
-		PruneRatio: ctr.PruneRatio(),
-	}, nil
 }

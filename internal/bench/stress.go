@@ -4,8 +4,8 @@ package bench
 // upward in steps, drive each step's open-loop job stream through a
 // fresh admission-controlled cluster, and locate the throughput knee —
 // the offered rate past which added load buys queueing instead of
-// throughput. The result is the `stress` section of BENCH_<n>.json
-// (see DESIGN.md, "Benchmark protocol").
+// throughput. `pipebench -stress` prints it (see DESIGN.md, "Traffic
+// engine").
 
 import (
 	"fmt"
@@ -104,7 +104,7 @@ type StressStep struct {
 	MakespanSec float64 `json:"makespan_s"`
 }
 
-// StressResult is the `stress` section of a BENCH_<n>.json snapshot.
+// StressResult is one RPS ramp: the `stress` section of a -benchout report.
 type StressResult struct {
 	Nodes       int          `json:"nodes"`
 	App         string       `json:"app"`

@@ -187,6 +187,30 @@ func TestFloorExceedsGridErrorsAtSubmit(t *testing.T) {
 	}
 }
 
+// TestNonFiniteArrivalErrorsAtSubmit: a NaN arrival used to panic the
+// sim engine, and a +Inf one to panic a static run or tick a reactive
+// run forever; each must be a clean Submit error instead.
+func TestNonFiniteArrivalErrorsAtSubmit(t *testing.T) {
+	cases := []struct {
+		name    string
+		arrival float64
+		policy  adaptive.Policy
+	}{
+		{"NaN", math.NaN(), adaptive.PolicyStatic},
+		{"+Inf static", math.Inf(1), adaptive.PolicyStatic},
+		{"+Inf reactive", math.Inf(1), adaptive.PolicyReactive},
+	}
+	for _, tc := range cases {
+		c, err := New(homGrid(t, 4), Config{Policy: tc.policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Submit(jobOf("bad", workload.Genome(), tc.arrival, 10)); err == nil {
+			t.Errorf("%s arrival: Submit accepted the job", tc.name)
+		}
+	}
+}
+
 // TestOverAdmissionContention pins the collapse mechanism: admitting
 // every job at once onto overlapping leases slows each one down via
 // proportional sharing, where queued admission keeps per-job service

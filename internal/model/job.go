@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"gridpipe/internal/grid"
 )
@@ -41,14 +42,17 @@ func (j JobSpec) Validate(np int) error {
 	if j.Weight < 0 {
 		return fmt.Errorf("model: job %q has negative weight %v", j.Name, j.Weight)
 	}
+	if math.IsNaN(j.Weight) || math.IsInf(j.Weight, 0) {
+		return fmt.Errorf("model: job %q has non-finite weight %v", j.Name, j.Weight)
+	}
 	if j.FloorNodes < 0 {
 		return fmt.Errorf("model: job %q has negative floor %d", j.Name, j.FloorNodes)
 	}
 	if np > 0 && j.FloorNodes > np {
 		return fmt.Errorf("model: job %q floor of %d nodes exceeds the %d-node grid", j.Name, j.FloorNodes, np)
 	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("model: job %q has negative arrival time %v", j.Name, j.Arrival)
+	if j.Arrival < 0 || math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
+		return fmt.Errorf("model: job %q has invalid arrival time %v", j.Name, j.Arrival)
 	}
 	if j.Items <= 0 {
 		return fmt.Errorf("model: job %q has non-positive item count %d", j.Name, j.Items)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -24,6 +25,10 @@ func TestJobSpecValidate(t *testing.T) {
 		{"negative floor", func(j *JobSpec) { j.FloorNodes = -1 }, "negative floor"},
 		{"floor over grid", func(j *JobSpec) { j.FloorNodes = 5 }, "exceeds"},
 		{"negative arrival", func(j *JobSpec) { j.Arrival = -1 }, "arrival"},
+		{"NaN arrival", func(j *JobSpec) { j.Arrival = math.NaN() }, "arrival"},
+		{"+Inf arrival", func(j *JobSpec) { j.Arrival = math.Inf(1) }, "arrival"},
+		{"NaN weight", func(j *JobSpec) { j.Weight = math.NaN() }, "non-finite weight"},
+		{"+Inf weight", func(j *JobSpec) { j.Weight = math.Inf(1) }, "non-finite weight"},
 		{"no items", func(j *JobSpec) { j.Items = 0 }, "item count"},
 		{"empty pipeline", func(j *JobSpec) { j.Spec = PipelineSpec{} }, "no stages"},
 	}

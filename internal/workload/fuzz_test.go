@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -12,8 +13,8 @@ const fuzzMaxEvents = 10_000
 // FuzzTraceFromCSV feeds arbitrary text through the CSV trace importer
 // (layout detection, long and wide parsing, the event cap, sorting and
 // validation). It must error cleanly on anything malformed and never
-// panic; a trace it accepts is sorted by arrival time, valid, and
-// within the cap.
+// panic; a trace it accepts is sorted by arrival time, valid, within
+// the cap, and has only finite times.
 func FuzzTraceFromCSV(f *testing.F) {
 	seeds := []string{
 		// Long layout: full columns, defaults, out-of-order rows.
@@ -28,6 +29,8 @@ func FuzzTraceFromCSV(f *testing.F) {
 		"a,b\n1,2\n",
 		"t\nnope\n",
 		"t\n-1\n",
+		"t\ninf\n",
+		"t,weight\n1,NaN\n",
 		"t,app\n1,bogus\n",
 		"t,items\n1,x\n",
 		"f,1\nx,-3\n",
@@ -48,8 +51,55 @@ func FuzzTraceFromCSV(f *testing.F) {
 		if len(tr) > fuzzMaxEvents {
 			t.Fatalf("accepted %d events, cap is %d", len(tr), fuzzMaxEvents)
 		}
-		for i := 1; i < len(tr); i++ {
-			if tr[i].T < tr[i-1].T {
+		for i := range tr {
+			if math.IsNaN(tr[i].T) || math.IsInf(tr[i].T, 0) {
+				t.Fatalf("event %d has non-finite time %v", i, tr[i].T)
+			}
+			if i > 0 && tr[i].T < tr[i-1].T {
+				t.Fatalf("event %d at t=%v precedes event %d at t=%v", i, tr[i].T, i-1, tr[i-1].T)
+			}
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted trace fails validation: %v", err)
+		}
+	})
+}
+
+// FuzzReadTrace feeds arbitrary text through the JSON-lines trace
+// reader, the format cluster.SubmitTrace replays. It must error
+// cleanly on anything malformed and never panic; a trace it accepts is
+// sorted by arrival time, valid, and has only finite times.
+func FuzzReadTrace(f *testing.F) {
+	seeds := []string{
+		// The traffic_test.go inputs: comments, blanks, defaults.
+		"# recorded by gridsim -traffic poisson\n{\"t\":1,\"app\":\"genome\",\"items\":10}\n\n  # mid-stream comment\n{\"t\":2.5,\"app\":\"image\",\"items\":5,\"weight\":2}\n",
+		"{\"t\":0.25,\"app\":\"genome\",\"items\":40}\n{\"t\":0.75,\"app\":\"image\",\"items\":25,\"weight\":2,\"floor\":2}\n",
+		"{\"t\":0,\"app\":\"video\",\"items\":1}\n",
+		// The TestTraceValidate error cases, as JSON lines.
+		"{\"t\":-1,\"app\":\"genome\",\"items\":1}\n",
+		"{\"t\":2,\"app\":\"genome\",\"items\":1}\n{\"t\":1,\"app\":\"genome\",\"items\":1}\n",
+		"{\"t\":1,\"app\":\"bogus\",\"items\":1}\n",
+		"{\"t\":1,\"app\":\"genome\",\"items\":0}\n",
+		"{\"t\":1,\"app\":\"genome\",\"items\":1,\"weight\":-1}\n",
+		"{\"t\":1,\"app\":\"genome\",\"items\":1,\"floor\":-1}\n",
+		"{\"t\":1e400,\"app\":\"genome\",\"items\":1}\n",
+		"{\"t\":\"NaN\",\"app\":\"genome\",\"items\":1}\n",
+		"not json\n",
+		"",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadTrace(strings.NewReader(in))
+		if err != nil {
+			return // malformed input must simply error
+		}
+		for i := range tr {
+			if math.IsNaN(tr[i].T) || math.IsInf(tr[i].T, 0) {
+				t.Fatalf("event %d has non-finite time %v", i, tr[i].T)
+			}
+			if i > 0 && tr[i].T < tr[i-1].T {
 				t.Fatalf("event %d at t=%v precedes event %d at t=%v", i, tr[i].T, i-1, tr[i-1].T)
 			}
 		}

@@ -40,12 +40,13 @@ type TraceEvent struct {
 // stream bit-identically.
 type Trace []TraceEvent
 
-// Validate reports structural errors: out-of-order or negative times,
-// unknown apps, non-positive item counts.
+// Validate reports structural errors: out-of-order, negative or
+// non-finite times, unknown apps, non-positive item counts, negative or
+// non-finite weights.
 func (tr Trace) Validate() error {
 	prev := math.Inf(-1)
 	for i, ev := range tr {
-		if ev.T < 0 || math.IsNaN(ev.T) {
+		if ev.T < 0 || math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
 			return fmt.Errorf("workload: trace event %d has invalid time %v", i, ev.T)
 		}
 		if ev.T < prev {
@@ -58,8 +59,8 @@ func (tr Trace) Validate() error {
 		if ev.Items <= 0 {
 			return fmt.Errorf("workload: trace event %d has non-positive items %d", i, ev.Items)
 		}
-		if ev.Weight < 0 {
-			return fmt.Errorf("workload: trace event %d has negative weight %v", i, ev.Weight)
+		if ev.Weight < 0 || math.IsNaN(ev.Weight) || math.IsInf(ev.Weight, 0) {
+			return fmt.Errorf("workload: trace event %d has invalid weight %v", i, ev.Weight)
 		}
 		if ev.Floor < 0 {
 			return fmt.Errorf("workload: trace event %d has negative floor %d", i, ev.Floor)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,6 +120,10 @@ func TestTraceValidate(t *testing.T) {
 		{{T: 1, App: "bogus", Items: 1}},
 		{{T: 1, App: "genome", Items: 0}},
 		{{T: 1, App: "genome", Items: 1, Weight: -1}},
+		{{T: math.NaN(), App: "genome", Items: 1}},
+		{{T: math.Inf(1), App: "genome", Items: 1}},
+		{{T: 1, App: "genome", Items: 1, Weight: math.NaN()}},
+		{{T: 1, App: "genome", Items: 1, Weight: math.Inf(1)}},
 		{{T: 1, App: "genome", Items: 1, Floor: -1}},
 	}
 	for i, tr := range bad {
